@@ -69,7 +69,7 @@ use crate::explore::{
     explore_with, Constraints, DesignSpace, Exploration, ExploreOptions, Objective, PruneStrategy,
 };
 use crate::perf::{perf_from_rearranged_with, KernelPerf};
-use crate::rearrange::{rearrange, RearrangeOptions, Rearranged};
+use crate::rearrange::{RearrangeOptions, RearrangeSkeleton, Rearranged};
 use rayon::prelude::*;
 use rsp_arch::{ArrayGeometry, BaseArchitecture, BusSpec, PeDesign, RspArchitecture, SharingPlan};
 use rsp_kernel::Kernel;
@@ -519,6 +519,10 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
     let mut exact_truncation: Option<TruncationReason> = None;
     let mut exact_processed = 0usize;
     let exact_span = Span::enter(obs, "flow", "exact", 0);
+    // The architecture-independent half of every rearrangement, built
+    // once per context and shared by all frontier candidates.
+    let skeletons: Vec<RearrangeSkeleton<'_>> =
+        contexts.iter().map(RearrangeSkeleton::new).collect();
     for (ci, point) in pareto.iter().enumerate() {
         if let Some(reason) = clock.stop_reason_budgeted(exact_processed, exact_budget) {
             exact_truncation = Some(reason);
@@ -581,15 +585,16 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
             }
             continue;
         };
-        let ctx_refs: Vec<&ConfigContext> = contexts.iter().collect();
+        let skeleton_refs: Vec<&RearrangeSkeleton<'_>> = skeletons.iter().collect();
         let rearranged: Vec<Result<(Rearranged, KernelPerf), RspError>> = pool.install(|| {
-            ctx_refs
+            skeleton_refs
                 .into_par_iter()
-                .map(|ctx| {
+                .map(|skeleton| {
                     // catch_unwind *inside* the worker closure: the
                     // vendored rayon would abort on an escaped panic.
                     catch_unwind(AssertUnwindSafe(|| {
-                        let r = rearrange(ctx, &point.arch, &config.rearrange_options)?;
+                        let r = skeleton.rearrange(&point.arch, &config.rearrange_options)?;
+                        let ctx = skeleton.context();
                         let p = perf_from_rearranged_with(ctx, &point.arch, &delay_report, &r);
                         Ok((r, p))
                     }))
@@ -725,6 +730,7 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
 mod tests {
     use super::*;
     use crate::perf::perf_from_rearranged;
+    use crate::rearrange::rearrange;
     use rsp_kernel::suite;
 
     fn domain_apps() -> Vec<AppProfile> {

@@ -103,7 +103,9 @@ pub use flow::{run_flow, AppProfile, CriticalLoop, FlowConfig, FlowReport, FlowS
 pub use frontier::ParetoFrontier;
 pub use perf::{evaluate_perf, perf_from_rearranged, perf_from_rearranged_with, KernelPerf};
 pub use power::{activity_of, evaluate_energy};
-pub use rearrange::{rearrange, RearrangeOptions, Rearranged};
+pub use rearrange::{
+    rearrange, rearrange_reference, RearrangeOptions, RearrangeSkeleton, Rearranged,
+};
 pub use session::{ProfileCache, Session, SessionBuilder, SessionStats};
 pub use utilization::{utilization_of, FuUtilization, UtilizationReport};
 

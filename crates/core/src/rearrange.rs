@@ -20,7 +20,39 @@
 //! graph with three invariants: no instance issues before its base-schedule
 //! cycle (rearrangement only delays), each PE issues its instances in
 //! base-schedule order (the configuration stream is a FIFO), and shared
-//! resources accept one issue per cycle.
+//! resources accept one issue per cycle. Ready FIFO heads compete in
+//! loop-iteration order, `(element, step, node)`, which is a total order
+//! over a mapped context's instances.
+//!
+//! The work splits in two:
+//!
+//! * **Skeleton (per context, built once).** A [`RearrangeSkeleton`]
+//!   holds what depends on the context alone: each instance's rank in
+//!   loop-iteration order, every PE's FIFO ordered by `(base cycle,
+//!   rank)` in one flat array, and the flattened predecessor lists. Both
+//!   passes walk it, and the flow's exact stage reuses one skeleton per
+//!   context across every frontier candidate.
+//! * **Loop (per architecture).** Each [`RearrangeSkeleton::rearrange`]
+//!   call builds dense tables (a latency per instance, one candidate
+//!   resource list per PE and operation kind) and runs over plain arrays.
+//!   A shared resource accepts one issue per cycle and `t` only moves
+//!   forward, so the resource is free at `t` exactly when its last issue
+//!   was not at `t`: one `last_issue[res]` cycle replaces a table of
+//!   per-cycle issue slots. Row-bus use is kept per row the same way,
+//!   stamped with the cycle it counts. Ready heads that compete for
+//!   nothing always issue, so only heads bound for a shared resource or
+//!   (when enforced) a row bus are sorted by rank each cycle.
+//!
+//! When no head is ready, nothing changes until the earliest cycle at
+//! which one becomes ready: its base cycle, or its last predecessor's
+//! completion. The loop jumps straight there instead of stepping through
+//! idle cycles. A jump past the divergence bound, or finding no head that
+//! can ever become ready, fails with the same
+//! [`RspError::RearrangeDiverged`] that stepping to the bound would have.
+//!
+//! [`rearrange_reference`] keeps the original scheduler, which scanned
+//! every PE each cycle through hash maps, as the oracle the dense one is
+//! property-tested against.
 //!
 //! # Configuration-cache refill
 //!
@@ -38,9 +70,7 @@
 //! flow's pruning cuts rest on.
 
 use crate::error::RspError;
-#[cfg(test)]
-use rsp_arch::OpKind;
-use rsp_arch::{RspArchitecture, SharedResourceId};
+use rsp_arch::{OpKind, PeId, RspArchitecture, SharedResourceId};
 use rsp_mapper::{split_schedule, ConfigContext, InstanceId, RefillPlan, SplitError};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -151,24 +181,416 @@ pub fn rearrange(
     arch: &RspArchitecture,
     opts: &RearrangeOptions,
 ) -> Result<Rearranged, RspError> {
+    RearrangeSkeleton::new(ctx).rearrange(arch, opts)
+}
+
+/// Sentinel for "not issued yet" (schedule) and "a predecessor has not
+/// issued yet" (head ready time).
+const PENDING: u32 = u32::MAX;
+
+/// Per-instance facts the scheduling loop reads, packed densely.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Base-schedule cycle: the earliest issue cycle.
+    base: u32,
+    /// Position in loop-iteration order `(element, step, node)`.
+    rank: u32,
+    /// The PE FIFO this instance belongs to.
+    fifo: u32,
+    /// Array row (its row buses).
+    row: u32,
+    /// Row-bus words read in the issue cycle.
+    reads: u32,
+    /// Whether the instance uses the row write bus.
+    store: bool,
+    op: OpKind,
+}
+
+/// The architecture-independent half of rearranging one context: the
+/// instance ranks, the per-PE FIFOs, and the flattened predecessor
+/// lists (see the module docs).
+///
+/// Build it once per context and call [`RearrangeSkeleton::rearrange`]
+/// per architecture; [`rearrange`] is the one-shot form.
+///
+/// # Examples
+///
+/// ```
+/// use rsp_arch::presets;
+/// use rsp_core::{rearrange, RearrangeSkeleton};
+/// use rsp_kernel::suite;
+/// use rsp_mapper::{map, MapOptions};
+///
+/// let ctx = map(presets::base_8x8().base(), &suite::fdct(), &MapOptions::default())?;
+/// let skeleton = RearrangeSkeleton::new(&ctx);
+/// for arch in [presets::rs1(), presets::rsp2()] {
+///     let r = skeleton.rearrange(&arch, &Default::default())?;
+///     assert_eq!(r, rearrange(&ctx, &arch, &Default::default())?);
+/// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct RearrangeSkeleton<'c> {
+    ctx: &'c ConfigContext,
+    slots: Vec<Slot>,
+    /// Instance index per rank (inverse of [`Slot::rank`]).
+    by_rank: Vec<u32>,
+    /// Every PE FIFO back to back; FIFO `f` is
+    /// `fifo[fifo_start[f]..fifo_start[f + 1]]`, in `(base, rank)` order.
+    fifo: Vec<u32>,
+    fifo_start: Vec<u32>,
+    /// The PE each FIFO feeds.
+    fifo_pe: Vec<PeId>,
+    /// Data predecessors; instance `i`'s are
+    /// `preds[pred_start[i]..pred_start[i + 1]]`.
+    preds: Vec<u32>,
+    pred_start: Vec<u32>,
+    /// Divergence bound: a schedule still unfinished past this cycle is
+    /// an internal inconsistency.
+    bound: u32,
+}
+
+/// The architecture's half: dense per-instance tables for one
+/// [`RearrangeSkeleton::rearrange`] call.
+struct ArchTables {
+    latency: Vec<u32>,
+    /// `None` for local operations; for shared ones, the range of
+    /// [`ArchTables::cand_res`] holding the instance's candidate
+    /// resources (possibly empty: unreachable, so it never issues).
+    cands: Vec<Option<(u32, u32)>>,
+    /// Dense resource indices, one list per (FIFO, op kind) in use.
+    cand_res: Vec<u32>,
+    /// Resource identity per dense index.
+    resources: Vec<SharedResourceId>,
+}
+
+impl<'c> RearrangeSkeleton<'c> {
+    /// Builds the skeleton of `ctx`: ranks, FIFOs and predecessor lists.
+    pub fn new(ctx: &'c ConfigContext) -> Self {
+        let instances = ctx.instances();
+        let n = instances.len();
+        let geom = ctx.geometry();
+
+        // One pass over the instances; ranks are filled in below. FIFOs
+        // get dense indices per occupied PE in order of first use.
+        let mut keys: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(n);
+        let mut slots: Vec<Slot> = Vec::with_capacity(n);
+        let mut preds = Vec::with_capacity(n);
+        let mut pred_start = Vec::with_capacity(n + 1);
+        pred_start.push(0u32);
+        let mut fifo_of_pe = vec![u32::MAX; geom.pe_count()];
+        let mut fifo_pe = Vec::new();
+        let mut fifo_start = vec![0u32];
+        for (i, inst) in instances.iter().enumerate() {
+            keys.push((inst.element, inst.step, inst.node, i as u32));
+            let cell = &mut fifo_of_pe[inst.pe.row * geom.cols() + inst.pe.col];
+            if *cell == u32::MAX {
+                *cell = fifo_pe.len() as u32;
+                fifo_pe.push(inst.pe);
+                fifo_start.push(0);
+            }
+            fifo_start[*cell as usize + 1] += 1;
+            slots.push(Slot {
+                base: ctx.cycles()[i],
+                rank: 0,
+                fifo: *cell,
+                row: inst.pe.row as u32,
+                reads: inst.bus_read_words() as u32,
+                store: inst.is_store(),
+                op: inst.op,
+            });
+            preds.extend(inst.preds.iter().map(|p| p.0));
+            pred_start.push(preds.len() as u32);
+        }
+        for f in 1..fifo_start.len() {
+            fifo_start[f] += fifo_start[f - 1];
+        }
+
+        // The mapper emits instances in (or close to) this order, which
+        // the sort exploits; the index breaks ties, though a mapped
+        // context has none.
+        keys.sort_unstable();
+        let by_rank: Vec<u32> = keys.into_iter().map(|k| k.3).collect();
+        for (r, &i) in by_rank.iter().enumerate() {
+            slots[i as usize].rank = r as u32;
+        }
+
+        // Fill FIFOs in (base, rank) order: a counting sort of the
+        // rank order by base cycle, then a stable placement per FIFO.
+        let span = slots.iter().map(|s| s.base as usize + 1).max().unwrap_or(0);
+        let mut at_base = vec![0u32; span + 1];
+        for slot in &slots {
+            at_base[slot.base as usize + 1] += 1;
+        }
+        for c in 1..at_base.len() {
+            at_base[c] += at_base[c - 1];
+        }
+        let mut order = vec![0u32; n];
+        for &i in &by_rank {
+            let next = &mut at_base[slots[i as usize].base as usize];
+            order[*next as usize] = i;
+            *next += 1;
+        }
+        let mut fill = fifo_start.clone();
+        let mut fifo = vec![0u32; n];
+        for i in order {
+            let f = slots[i as usize].fifo as usize;
+            fifo[fill[f] as usize] = i;
+            fill[f] += 1;
+        }
+
+        Self {
+            ctx,
+            slots,
+            by_rank,
+            fifo,
+            fifo_start,
+            fifo_pe,
+            preds,
+            pred_start,
+            bound: ctx.total_cycles() * 4 + 16 * n as u32 + 64,
+        }
+    }
+
+    /// The context this skeleton was built from.
+    pub fn context(&self) -> &'c ConfigContext {
+        self.ctx
+    }
+
+    /// Rearranges the skeleton's context for `arch`; identical to
+    /// [`rearrange`] on the same inputs.
+    ///
+    /// # Errors
+    ///
+    /// As [`rearrange`].
+    pub fn rearrange(
+        &self,
+        arch: &RspArchitecture,
+        opts: &RearrangeOptions,
+    ) -> Result<Rearranged, RspError> {
+        let tables = self.tables(arch);
+        // Pass 1: latencies only (unlimited resources) -> RP overhead.
+        let rp_total = total(&self.schedule(&tables, opts, false)?.0);
+        // Pass 2: latencies + sharing constraints -> full RSP schedule.
+        let (cycles, bound_to) = self.schedule(&tables, opts, true)?;
+        let bindings = bound_to
+            .into_iter()
+            .map(|res| (res != PENDING).then(|| tables.resources[res as usize]))
+            .collect();
+        finish(self.ctx, arch, cycles, bindings, rp_total, |i| {
+            tables.latency[i]
+        })
+    }
+
+    fn tables(&self, arch: &RspArchitecture) -> ArchTables {
+        let mut op_latency = [0u32; OpKind::ALL.len()];
+        let mut op_shared = [false; OpKind::ALL.len()];
+        for op in OpKind::ALL {
+            op_latency[op as usize] = u32::from(arch.op_latency(op));
+            op_shared[op as usize] = arch.op_is_shared(op);
+        }
+        let mut dense: HashMap<SharedResourceId, u32> = HashMap::new();
+        let mut resources = Vec::new();
+        let mut cand_res = Vec::new();
+        // Candidate list per (FIFO, op kind), built on first use.
+        let mut lists: Vec<Option<(u32, u32)>> = vec![None; self.fifo_pe.len() * OpKind::ALL.len()];
+        let mut latency = Vec::with_capacity(self.slots.len());
+        let mut cands = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            let op = slot.op as usize;
+            latency.push(op_latency[op]);
+            if !op_shared[op] {
+                cands.push(None);
+                continue;
+            }
+            let list = &mut lists[slot.fifo as usize * OpKind::ALL.len() + op];
+            let range = *list.get_or_insert_with(|| {
+                let start = cand_res.len() as u32;
+                for res in arch.candidates(self.fifo_pe[slot.fifo as usize], slot.op) {
+                    let d = *dense.entry(res).or_insert_with(|| {
+                        resources.push(res);
+                        resources.len() as u32 - 1
+                    });
+                    cand_res.push(d);
+                }
+                (start, cand_res.len() as u32)
+            });
+            cands.push(Some(range));
+        }
+        ArchTables {
+            latency,
+            cands,
+            cand_res,
+            resources,
+        }
+    }
+
+    /// The dense list scheduler: the issue cycle and the dense shared
+    /// resource ([`PENDING`] for none) of every instance. When `sharing`
+    /// is false, shared resources are treated as unlimited (used to
+    /// isolate the RP contribution).
+    fn schedule(
+        &self,
+        tables: &ArchTables,
+        opts: &RearrangeOptions,
+        sharing: bool,
+    ) -> Result<(Vec<u32>, Vec<u32>), RspError> {
+        let n = self.slots.len();
+        let fifos = self.fifo_pe.len();
+        let buses = self.ctx.buses();
+        let (read_buses, write_buses) = (buses.read_buses() as u32, buses.write_buses() as u32);
+        let rows = self.ctx.geometry().rows();
+
+        let mut sched = vec![PENDING; n];
+        let mut bound_to = vec![PENDING; n];
+        let mut head: Vec<u32> = self.fifo_start[..fifos].to_vec();
+        // Cycle at which each FIFO head becomes ready; PENDING until all
+        // its predecessors have issued (then it never changes).
+        let mut head_ready = vec![PENDING; fifos];
+        let mut active: Vec<u32> = (0..fifos as u32).collect();
+        let mut last_issue = vec![PENDING; tables.resources.len()];
+        // Row-bus words per row, valid only when the stamp is `t`.
+        let mut bus_stamp = vec![PENDING; rows];
+        let mut bus_read = vec![0u32; rows];
+        let mut bus_write = vec![0u32; rows];
+        // Ready heads this cycle: ranks of those competing for a shared
+        // resource or a row bus, instance indices of the rest.
+        let mut contended: Vec<u32> = Vec::with_capacity(fifos);
+        let mut free: Vec<u32> = Vec::with_capacity(fifos);
+
+        let mut remaining = n;
+        let mut t: u32 = 0;
+        while remaining > 0 {
+            if t > self.bound {
+                return Err(RspError::RearrangeDiverged { bound: self.bound });
+            }
+            contended.clear();
+            free.clear();
+            let mut next = PENDING;
+            for &f in &active {
+                let f = f as usize;
+                let i = self.fifo[head[f] as usize] as usize;
+                if head_ready[f] == PENDING {
+                    head_ready[f] = self.ready_time(i, &sched, &tables.latency);
+                }
+                let ready = head_ready[f];
+                if ready > t {
+                    next = next.min(ready);
+                    continue;
+                }
+                let slot = &self.slots[i];
+                if (sharing && tables.cands[i].is_some())
+                    || (opts.enforce_buses && (slot.reads > 0 || slot.store))
+                {
+                    contended.push(slot.rank);
+                } else {
+                    free.push(i as u32);
+                }
+            }
+            if contended.is_empty() && free.is_empty() {
+                // Nothing can change before `next`; PENDING means no
+                // head can ever become ready.
+                if next > self.bound {
+                    return Err(RspError::RearrangeDiverged { bound: self.bound });
+                }
+                t = next;
+                continue;
+            }
+
+            // Uncontended heads always issue, so their order is moot;
+            // contended ones are granted in loop-iteration order (rule 1).
+            // Issues instance `i` at `t`; true when that drains its FIFO.
+            let mut issue = |i: usize| {
+                sched[i] = t;
+                remaining -= 1;
+                let f = self.slots[i].fifo as usize;
+                head[f] += 1;
+                head_ready[f] = PENDING;
+                head[f] == self.fifo_start[f + 1]
+            };
+            let mut drained = false;
+            for &i in &free {
+                drained |= issue(i as usize);
+            }
+            contended.sort_unstable();
+            for &r in &contended {
+                let i = self.by_rank[r as usize] as usize;
+                let slot = &self.slots[i];
+
+                // Shared-resource issue slot (RS rule).
+                let mut binding = PENDING;
+                if sharing {
+                    if let Some((start, end)) = tables.cands[i] {
+                        let open = tables.cand_res[start as usize..end as usize]
+                            .iter()
+                            .find(|&&res| last_issue[res as usize] != t);
+                        let Some(&res) = open else {
+                            continue; // stalls; PE FIFO blocks
+                        };
+                        binding = res;
+                    }
+                }
+
+                // Optional bus capacity.
+                let row = slot.row as usize;
+                if opts.enforce_buses {
+                    if bus_stamp[row] != t {
+                        bus_stamp[row] = t;
+                        bus_read[row] = 0;
+                        bus_write[row] = 0;
+                    }
+                    if (slot.reads > 0 && bus_read[row] + slot.reads > read_buses)
+                        || (slot.store && bus_write[row] + 1 > write_buses)
+                    {
+                        continue;
+                    }
+                    bus_read[row] += slot.reads;
+                    bus_write[row] += u32::from(slot.store);
+                }
+
+                drained |= issue(i);
+                if binding != PENDING {
+                    last_issue[binding as usize] = t;
+                    bound_to[i] = binding;
+                }
+            }
+            if drained {
+                active.retain(|&f| head[f as usize] < self.fifo_start[f as usize + 1]);
+            }
+            t += 1;
+        }
+        Ok((sched, bound_to))
+    }
+
+    /// Earliest cycle instance `i` may issue given the issued
+    /// predecessors, or [`PENDING`] while one has not issued.
+    fn ready_time(&self, i: usize, sched: &[u32], latency: &[u32]) -> u32 {
+        let mut ready = self.slots[i].base;
+        for &p in &self.preds[self.pred_start[i] as usize..self.pred_start[i + 1] as usize] {
+            let issued = sched[p as usize];
+            if issued == PENDING {
+                return PENDING;
+            }
+            ready = ready.max(issued + latency[p as usize]);
+        }
+        ready
+    }
+}
+
+/// Wraps two passes' schedules into a [`Rearranged`], splitting the
+/// schedule across configuration-cache refills when it does not fit.
+fn finish(
+    ctx: &ConfigContext,
+    arch: &RspArchitecture,
+    cycles: Vec<u32>,
+    bindings: Vec<Option<SharedResourceId>>,
+    rp_total: u32,
+    latency: impl Fn(usize) -> u32,
+) -> Result<Rearranged, RspError> {
     let base_cycles = ctx.total_cycles();
-
-    // Pass 1: latencies only (unlimited resources) -> RP overhead.
-    let (rp_sched, _) = schedule(ctx, arch, opts, false)?;
-    let rp_total = total(&rp_sched);
-
-    // Pass 2: latencies + sharing constraints -> full RSP schedule.
-    let (cycles, bindings) = schedule(ctx, arch, opts, true)?;
     let total_cycles = total(&cycles);
-
     let available = arch.base().config_cache_depth() as u32;
-    let refill = split_schedule(
-        ctx,
-        &cycles,
-        |i| u32::from(arch.op_latency(ctx.instances()[i].op)),
-        available,
-    )
-    .map_err(|e| match e {
+    let refill = split_schedule(ctx, &cycles, latency, available).map_err(|e| match e {
         SplitError::NoLegalCut {
             start_cycle,
             cache_depth,
@@ -194,16 +616,33 @@ fn total(cycles: &[u32]) -> u32 {
     cycles.iter().map(|&c| c + 1).max().unwrap_or(0)
 }
 
-/// Core list scheduler. When `enforce_sharing` is false, shared resources
-/// are treated as unlimited (used to isolate the RP contribution).
-fn schedule(
+/// The original `HashMap`-driven scheduler, kept as the oracle the dense
+/// one is property-tested against (bit-identical [`Rearranged`] values).
+#[doc(hidden)]
+pub fn rearrange_reference(
+    ctx: &ConfigContext,
+    arch: &RspArchitecture,
+    opts: &RearrangeOptions,
+) -> Result<Rearranged, RspError> {
+    // Pass 1: latencies only (unlimited resources) -> RP overhead.
+    let (rp_sched, _) = schedule_reference(ctx, arch, opts, false)?;
+    let rp_total = total(&rp_sched);
+    // Pass 2: latencies + sharing constraints -> full RSP schedule.
+    let (cycles, bindings) = schedule_reference(ctx, arch, opts, true)?;
+    finish(ctx, arch, cycles, bindings, rp_total, |i| {
+        u32::from(arch.op_latency(ctx.instances()[i].op))
+    })
+}
+
+/// Reference list scheduler: scans every PE each cycle. When
+/// `enforce_sharing` is false, shared resources are treated as unlimited.
+fn schedule_reference(
     ctx: &ConfigContext,
     arch: &RspArchitecture,
     opts: &RearrangeOptions,
     enforce_sharing: bool,
 ) -> Result<(Vec<u32>, Vec<Option<SharedResourceId>>), RspError> {
     let n = ctx.instances().len();
-    let geom = ctx.geometry();
     let mut sched = vec![u32::MAX; n];
     let mut bindings: Vec<Option<SharedResourceId>> = vec![None; n];
 
@@ -315,7 +754,6 @@ fn schedule(
         }
         t += 1;
     }
-    debug_assert!(geom.rows() > 0);
     Ok((sched, bindings))
 }
 
@@ -339,6 +777,25 @@ mod tests {
             assert_eq!(r.rp_overhead, 0);
             assert_eq!(r.rs_stalls, 0);
             assert!(r.bindings.iter().all(Option::is_none));
+        }
+    }
+
+    #[test]
+    fn deadlocked_context_diverges_like_the_reference() {
+        // Instance 0 heads PE[0,0]'s FIFO. Making it wait on instance 1,
+        // which sits behind it in that FIFO, leaves no head that can
+        // ever become ready: the stepping reference runs into the bound,
+        // and the dense loop, finding no cycle to jump to, must fail
+        // with the same bound.
+        let json = serde_json::to_string(&ctx_for(&suite::iccg())).unwrap();
+        let cyclic = json.replacen(r#""preds":[]"#, r#""preds":[1]"#, 1);
+        assert_ne!(cyclic, json);
+        let ctx: ConfigContext = serde_json::from_str(&cyclic).unwrap();
+        for arch in [presets::base_8x8(), presets::rsp2()] {
+            let dense = rearrange(&ctx, &arch, &Default::default()).unwrap_err();
+            let reference = rearrange_reference(&ctx, &arch, &Default::default()).unwrap_err();
+            assert!(matches!(dense, RspError::RearrangeDiverged { .. }));
+            assert_eq!(dense, reference, "{}", arch.name());
         }
     }
 

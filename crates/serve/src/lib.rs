@@ -525,6 +525,18 @@ fn control_of(limits: &Limits) -> ExploreControl {
     }
 }
 
+/// Checks a requested base geometry at the boundary: the array template
+/// needs at least one row and one column, and a zero must come back as an
+/// error reply rather than reach the geometry constructor's assertion.
+fn geometry_of(rows: u64, cols: u64) -> Result<(usize, usize), String> {
+    if rows == 0 || cols == 0 {
+        return Err(format!(
+            "geometry: {rows}x{cols} has no PEs; rows and cols must be positive"
+        ));
+    }
+    Ok((rows as usize, cols as usize))
+}
+
 // The Err variant is a ready-to-send wire `Response`; its size is the
 // wire type's, not worth boxing on this cold error path.
 #[allow(clippy::result_large_err)]
@@ -578,11 +590,15 @@ fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
         Request::Ping => Response::Pong,
         Request::Stats => Response::Stats(stats_reply(ctx)),
         Request::Map(MapRequest { kernel, rows, cols }) => {
+            let (rows, cols) = match geometry_of(rows, cols) {
+                Ok(g) => g,
+                Err(e) => return Response::Error(e),
+            };
             let kernel = match parse_dfg(&kernel) {
                 Ok(k) => k,
                 Err(e) => return e,
             };
-            let base = session.base(rows as usize, cols as usize);
+            let base = session.base(rows, cols);
             match session.map(&base, &kernel) {
                 Ok(ctx) => Response::Mapped(MapReply {
                     kernel: ctx.kernel_name().to_string(),
@@ -601,6 +617,10 @@ fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
             space,
             limits,
         }) => {
+            let (rows, cols) = match geometry_of(rows, cols) {
+                Ok(g) => g,
+                Err(e) => return Response::Error(e),
+            };
             let mut parsed = Vec::with_capacity(kernels.len());
             for source in &kernels {
                 match parse_dfg(source) {
@@ -612,7 +632,7 @@ fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
             // weight vector exercises the engine's own invariants and
             // the panic-isolation path (tested in tests/server.rs).
             let weights = weights.unwrap_or_else(|| vec![1.0; parsed.len()]);
-            let base = session.base(rows as usize, cols as usize);
+            let base = session.base(rows, cols);
             match session.explore(
                 &base,
                 &parsed,
@@ -645,6 +665,13 @@ fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
             space,
             limits,
         }) => {
+            let geometries = match geometries
+                .map(|g| g.into_iter().map(|(r, c)| geometry_of(r, c)).collect())
+                .transpose()
+            {
+                Ok(g) => g,
+                Err(e) => return Response::Error(e),
+            };
             let mut profiles = Vec::with_capacity(apps.len());
             for app in apps {
                 let mut kernels = Vec::with_capacity(app.kernels.len());
@@ -658,10 +685,7 @@ fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
             }
             let mut config = session.flow_config(space_of(space), control_of(&limits));
             if let Some(geometries) = geometries {
-                config.geometries = geometries
-                    .into_iter()
-                    .map(|(r, c)| (r as usize, c as usize))
-                    .collect();
+                config.geometries = geometries;
             }
             match rsp_core::run_flow(&profiles, &config) {
                 Ok(report) => Response::Flowed(FlowReply {

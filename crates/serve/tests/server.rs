@@ -437,3 +437,59 @@ fn prewarmed_session_is_visible_through_the_wire() {
     assert!(after.model_hits > before.model_hits);
     server.shutdown();
 }
+
+#[test]
+fn zero_geometries_get_typed_errors_not_isolated_panics() {
+    let ring = std::sync::Arc::new(rsp_obs::RingRecorder::new(1024));
+    let server = Server::spawn(ServeConfig {
+        recorder: ring.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let flow = |geometries| {
+        Request::Flow(FlowRequest {
+            apps: vec![WorkloadApp {
+                name: "video".into(),
+                kernels: vec![(dfg(&suite::sad()), 1)],
+            }],
+            geometries: Some(geometries),
+            space: SpaceSpec::Paper,
+            limits: Limits::none(),
+        })
+    };
+    let requests = [
+        Request::Map(MapRequest {
+            kernel: dfg(&suite::sad()),
+            rows: 0,
+            cols: 8,
+        }),
+        Request::Explore(ExploreRequest {
+            kernels: vec![dfg(&suite::sad())],
+            weights: None,
+            rows: 8,
+            cols: 0,
+            space: SpaceSpec::Paper,
+            limits: Limits::none(),
+        }),
+        flow(vec![(8, 8), (0, 0)]),
+    ];
+    for request in requests {
+        match client.call(request).unwrap() {
+            Response::Error(msg) => {
+                assert!(msg.starts_with("geometry:"), "typed diagnostic: {msg}");
+                assert!(!msg.contains("panicked"), "not an isolated panic: {msg}");
+            }
+            other => panic!("expected a geometry error, got {other:?}"),
+        }
+    }
+    // Nothing reached the panic-isolation path, and the connection
+    // still serves a well-formed request.
+    assert!(ring.named("serve", "panic").is_empty());
+    assert_eq!(stats_of(&mut client).faulted, 0);
+    assert!(matches!(
+        client.call(flow(vec![(8, 8)])).unwrap(),
+        Response::Flowed(_)
+    ));
+    server.shutdown();
+}
