@@ -77,8 +77,8 @@ pub fn run(space: &DesignSpace, space_label: &str, samples: u32) -> BenchReport 
     let constraints = Constraints::default();
     let objective = Objective::AreaDelayProduct;
 
-    // Each engine run gets a fresh run-local cache (`cache: None`) so the
-    // rows measure full cost, not a warmed memo.
+    // Each engine run synthesizes directly (`cache: None`) so the rows
+    // measure full cost, not a warmed memo.
     let engine_opts = |parallelism: Option<usize>,
                        prune: PruneStrategy,
                        bound: BoundKind,

@@ -142,8 +142,8 @@ pub enum BoundKind {
 /// synthesis — the clock-side sibling of [`BoundKind`] (which bounds the
 /// cycle count). Multiplying the cycle lower bound by an admissible
 /// clock floor yields an execution-time floor; when that floor already
-/// violates `max_slowdown`, the candidate is cut without ever touching
-/// the `ModelCache` delay path. Both settings are result-preserving: a
+/// violates `max_slowdown`, the candidate is cut without ever paying for
+/// a delay report. Both settings are result-preserving: a
 /// candidate the floor cuts has `est_et ≥ lb_et ≥ lb_floor_et >
 /// bound` term-wise under IEEE-754 rounding, so the reference rejects it
 /// too.
@@ -152,7 +152,7 @@ pub enum ClockBound {
     /// Always synthesize the clock before any pruning decision.
     Off,
     /// Lower-bound the clock from the plan's stage structure alone
-    /// (`rsp_synth::DelayModel::clock_floor_ns`, served through the
+    /// (`rsp_synth::DelayModel::clock_floor_ns`, or a shared memo's
     /// `ModelCache::clock_floor` fast path): each pipeline stage costs at
     /// least `fu/stages + register + switch + interconnect`, each
     /// combinational shared resource at least `mux + switch + fu +

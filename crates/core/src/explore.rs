@@ -20,11 +20,14 @@
 //! * **Shared base, no deep clones** — candidates hold the base array
 //!   behind one `Arc` ([`rsp_arch::RspArchitecture::base_arc`]) instead
 //!   of cloning geometry + PE + bus tables per plan.
-//! * **Memoized synthesis** — area/clock reports come from a
-//!   [`rsp_synth::ModelCache`] keyed by `(geometry, plan)`, i.e. by
-//!   `(kind, shr, shc, stages)` for single-group spaces. Pass one cache
-//!   via [`ExploreOptions::cache`] to share it across repeated
-//!   explorations, which then never re-synthesize a plan they have seen.
+//! * **Direct synthesis, memo only when shared** — every plan appears
+//!   once per space, so a run-local memo can never hit. Without a
+//!   caller cache the engine calls [`AreaModel::report`],
+//!   [`DelayModel::clock_floor_ns`] and [`DelayModel::report`] at most
+//!   once each per candidate. A [`rsp_synth::ModelCache`] passed via
+//!   [`ExploreOptions::cache`] (as `Session` and `rsp-serve` do) is used
+//!   instead: there plans repeat across calls, and a later exploration
+//!   never re-synthesizes a plan an earlier one has seen.
 //! * **Profiled demand, suffix tables** — each kernel's per-cycle
 //!   demand for every shared kind in the space is profiled once into a
 //!   word-packed bit-plane [`rsp_mapper::CycleDemand`] with precomputed
@@ -33,10 +36,14 @@
 //!   ([`crate::ContextProfile`]). Nothing of size
 //!   `cycles × rows × cols` is ever allocated.
 //! * **Deterministic parallel fan-out** — candidates are processed in
-//!   fixed-size chunks ([`CHUNK`]); each chunk fans out over the rayon
-//!   pool and results are merged back **in enumeration order**, so the
-//!   feasible set, Pareto frontier, and selected optimum are identical
-//!   for any thread count, including `parallelism = Some(1)`.
+//!   fixed-size chunks ([`CHUNK`]). Each chunk fans out twice (phase A
+//!   and the estimate phase) over the vendored rayon's persistent
+//!   helper pool: the calling thread works alongside helpers spawned
+//!   once per process, so a fan-out costs no thread spawn. Items are
+//!   claimed from an atomic cursor and results land back **in
+//!   enumeration order**, so the feasible set, Pareto frontier, and
+//!   selected optimum are identical for any thread count, including
+//!   `parallelism = Some(1)`.
 //! * **Admissible pruning, bound-as-estimate reuse** — before full
 //!   estimation, a candidate's weighted execution time is bounded from
 //!   below by the slack-aware suffix floor
@@ -58,7 +65,8 @@
 //!   opt-in.
 //! * **Area-ordered enumeration** — under [`PruneStrategy::Dominated`]
 //!   candidates are enumerated in ascending synthesized-area order
-//!   (areas come from the memoized [`ModelCache`] area-only fast path),
+//!   (areas come from the area model alone, or from the shared
+//!   [`ModelCache`]'s area-only fast path),
 //!   so small, strong designs populate the frontier first and the
 //!   dominated test starts cutting almost immediately instead of after
 //!   most of the space has been estimated. The ordering pre-pass
@@ -67,8 +75,8 @@
 //!   stream sorts *indices*, so no candidate is rebuilt downstream.
 //! * **Pre-synthesis clock cut** — before a candidate's delay is
 //!   synthesized, its execution time is floored using the admissible
-//!   stage-structure clock bound ([`ClockBound::StageFloor`], served by
-//!   the `ModelCache::clock_floor` fast path) times the admissible
+//!   stage-structure clock bound ([`ClockBound::StageFloor`],
+//!   [`DelayModel::clock_floor_ns`]) times the admissible
 //!   cycle lower bound. A candidate whose *floored* time already
 //!   violates `max_slowdown` is cut without ever paying for delay
 //!   synthesis — the cheapest possible rejection, counted separately in
@@ -252,18 +260,10 @@ impl DesignSpace {
     /// a kind repeated within one mix) are skipped.
     pub fn plans(&self) -> impl Iterator<Item = SharingPlan> + '_ {
         let grid = self.shared_kinds.iter().flat_map(move |&kind| {
-            self.stages.iter().flat_map(move |&stages| {
-                self.shr.iter().flat_map(move |&shr| {
-                    self.shc.iter().filter_map(move |&shc| {
-                        if shr == 0 && shc == 0 {
-                            return None;
-                        }
-                        let g = SharedGroup::new(kind, shr, shc, stages).ok()?;
-                        // Single-group plans never collide.
-                        Some(SharingPlan::none().with_group(g).expect("single group"))
-                    })
-                })
-            })
+            valid_groups(kind, &self.stages, &self.shr, &self.shc)
+                .into_iter()
+                // Single-group plans never collide.
+                .map(|g| SharingPlan::none().with_group(g).expect("single group"))
         });
         let mixed = self.mixes.iter().flat_map(|mix| {
             // Per-axis options: slot 0 is "unshared", the rest are the
@@ -273,20 +273,10 @@ impl DesignSpace {
             let axes: Vec<Vec<Option<SharedGroup>>> = mix
                 .iter()
                 .map(|axis| {
-                    let mut options = vec![None];
-                    for &stages in &axis.stages {
-                        for &shr in &axis.shr {
-                            for &shc in &axis.shc {
-                                if shr == 0 && shc == 0 {
-                                    continue;
-                                }
-                                if let Ok(g) = SharedGroup::new(axis.kind, shr, shc, stages) {
-                                    options.push(Some(g));
-                                }
-                            }
-                        }
-                    }
-                    options
+                    let groups = valid_groups(axis.kind, &axis.stages, &axis.shr, &axis.shc);
+                    std::iter::once(None)
+                        .chain(groups.into_iter().map(Some))
+                        .collect()
                 })
                 .collect();
             let total: usize = axes.iter().map(Vec::len).product();
@@ -307,6 +297,53 @@ impl DesignSpace {
         });
         grid.chain(mixed)
     }
+
+    /// Number of plans [`plans`](Self::plans) yields, counted from the
+    /// per-axis option tables without constructing any plan.
+    ///
+    /// A mix plan is invalid when two shared axes have the same kind, so
+    /// per kind the choices are "every axis of this kind unshared" or
+    /// "exactly one of them shared"; the product of those counts, minus
+    /// the all-unshared base plan, is the mix's size.
+    pub fn candidate_count(&self) -> usize {
+        let grid: usize = self
+            .shared_kinds
+            .iter()
+            .map(|&kind| valid_groups(kind, &self.stages, &self.shr, &self.shc).len())
+            .sum();
+        let mixed: usize = self
+            .mixes
+            .iter()
+            .map(|mix| {
+                let mut choices: Vec<(FuKind, usize)> = Vec::new();
+                for axis in mix {
+                    let groups = valid_groups(axis.kind, &axis.stages, &axis.shr, &axis.shc);
+                    match choices.iter_mut().find(|(kind, _)| *kind == axis.kind) {
+                        Some((_, n)) => *n += groups.len(),
+                        None => choices.push((axis.kind, 1 + groups.len())),
+                    }
+                }
+                choices.iter().map(|&(_, n)| n).product::<usize>() - 1
+            })
+            .sum();
+        grid + mixed
+    }
+}
+
+/// The valid shared groups of one kind over a `(stages, shr, shc)` grid,
+/// in enumeration order.
+fn valid_groups(kind: FuKind, stages: &[u8], shr: &[usize], shc: &[usize]) -> Vec<SharedGroup> {
+    let mut groups = Vec::new();
+    for &stages in stages {
+        for &shr in shr {
+            for &shc in shc {
+                if let Ok(g) = SharedGroup::new(kind, shr, shc, stages) {
+                    groups.push(g);
+                }
+            }
+        }
+    }
+    groups
 }
 
 /// Constraints applied before Pareto filtering.
@@ -387,9 +424,9 @@ pub struct ExploreOptions {
     pub objective: Objective,
     /// Synthesis-report memo to use. Pass one shared [`ModelCache`] when
     /// exploring overlapping spaces repeatedly (every plan is synthesized
-    /// exactly once across all runs that share it); `None` builds a
-    /// run-local cache, which still deduplicates the base plan and any
-    /// plans repeated within the space.
+    /// exactly once across all runs that share it); `None` calls the
+    /// area and delay models directly, once per candidate — a space
+    /// lists each plan once, so a run-local memo would never hit.
     pub cache: Option<Arc<ModelCache>>,
     /// Kernel-profile memo to use. Pass one shared
     /// [`ProfileCache`](crate::ProfileCache) when exploring the same
@@ -444,8 +481,7 @@ pub struct PruneStats {
     pub bound_tightness: f64,
     /// Subset of `candidates_pruned` cut by the stage-structure clock
     /// floor ([`ClockBound::StageFloor`]) *before* delay synthesis —
-    /// these candidates never reached the `ModelCache` delay path at
-    /// all.
+    /// these candidates never paid for a delay report at all.
     pub clock_bound_cuts: usize,
     /// Candidates whose evaluation panicked (isolated by
     /// `catch_unwind`) and were skipped instead of aborting the sweep.
@@ -725,6 +761,42 @@ enum Seed {
     Invalid,
 }
 
+/// Where one run's synthesis reports come from.
+enum Synth<'a> {
+    /// The caller's memo, shared across runs (a `Session` or server):
+    /// plans repeat across calls, so hits pay there.
+    Shared(&'a ModelCache),
+    /// The Table 1 models, called once per candidate. Every plan appears
+    /// once per space, so a run-local memo could never hit; hashing and
+    /// locking a key would only add to each miss.
+    Direct(AreaModel, DelayModel),
+}
+
+impl Synth<'_> {
+    fn area(&self, arch: &RspArchitecture) -> AreaReport {
+        match self {
+            Self::Shared(cache) => cache.area_report(arch),
+            Self::Direct(area, _) => area.report(arch),
+        }
+    }
+
+    /// Admissible clock floor from the stage structure (the shared memo
+    /// answers with the exact clock of a plan it already synthesized).
+    fn clock_floor(&self, arch: &RspArchitecture) -> f64 {
+        match self {
+            Self::Shared(cache) => cache.clock_floor(arch),
+            Self::Direct(_, delay) => delay.clock_floor_ns(arch.plan()),
+        }
+    }
+
+    fn clock_ns(&self, arch: &RspArchitecture) -> f64 {
+        match self {
+            Self::Shared(cache) => cache.reports(arch).1.clock_ns,
+            Self::Direct(_, delay) => delay.report(arch).clock_ns,
+        }
+    }
+}
+
 /// Phase-A verdict on one candidate. The `Ready` payload is
 /// `(arch, area, clock, cost_ok, lb_cycles, lb_et)`; the lower bound
 /// rides along so the merge phase can measure its tightness against the
@@ -861,16 +933,16 @@ fn explore_engine(
     assert_eq!(kernels.len(), contexts.len());
     assert_eq!(kernels.len(), weights.len());
     let constraints = &options.constraints;
-    let models = options
-        .cache
-        .clone()
-        .unwrap_or_else(|| Arc::new(ModelCache::new()));
+    let synth = match options.cache.as_deref() {
+        Some(cache) => Synth::Shared(cache),
+        None => Synth::Direct(AreaModel::new(), DelayModel::new()),
+    };
     let cache_depth = base.config_cache_depth() as u32;
     let base = Arc::new(base.clone());
 
     let base_arch = RspArchitecture::new("Base", Arc::clone(&base), SharingPlan::none())
         .expect("base plan is always valid");
-    let base_clock = models.reports(&base_arch).1.clock_ns;
+    let base_clock = synth.clock_ns(&base_arch);
     let base_et: f64 = contexts
         .iter()
         .zip(weights)
@@ -878,7 +950,7 @@ fn explore_engine(
         .sum();
     let et_bound = constraints.max_slowdown * base_et;
 
-    let candidates_total = space.plans().count();
+    let candidates_total = space.candidate_count();
     let fingerprint = EngineFingerprint::of(options, candidates_total);
     if let Some(ckpt) = resume {
         validate_checkpoint(ckpt, &fingerprint, base_et)?;
@@ -906,10 +978,10 @@ fn explore_engine(
     // Candidate stream: enumeration order by default (which is what the
     // bit-identical guarantee for result-preserving strategies rests
     // on); under Dominated pruning — which already opts into a reordered
-    // `feasible` — ascending synthesized-area order, computed through
-    // the memoized area-only fast path. Small strong designs then enter
-    // the frontier first, so the dominated test cuts from the start
-    // instead of after most of the space has been estimated. The sort is
+    // `feasible` — ascending synthesized-area order, from an area-only
+    // synthesis pass. Small strong designs then enter the frontier
+    // first, so the dominated test cuts from the start instead of after
+    // most of the space has been estimated. The sort is
     // stable (enumeration index breaks area ties), which keeps tied
     // plans in reference order. The pre-pass constructs each candidate
     // architecture exactly once and the stream carries it — sorted by
@@ -931,7 +1003,7 @@ fn explore_engine(
                         RspArchitecture::new(name, Arc::clone(&base), plan)
                             .ok()
                             .map(|arch| {
-                                let area = models.area_report(&arch);
+                                let area = synth.area(&arch);
                                 (Box::new(arch), area)
                             })
                     })
@@ -1027,10 +1099,10 @@ fn explore_engine(
         stats.candidates_seen += chunk.len();
 
         // Phase A (parallel): construct candidates (unless the ordering
-        // pre-pass already did), query areas through the memoized fast
-        // path, compute the admissible cycle lower bound, consult the
-        // stage-floor clock bound, and only then synthesize the clock —
-        // all pure per-plan work, fanned out in stream order.
+        // pre-pass already did), synthesize areas, compute the admissible
+        // cycle lower bound, consult the stage-floor clock bound, and
+        // only then synthesize the clock — all pure per-plan work, fanned
+        // out in stream order.
         let prepare = |seed: Seed| -> Prepared {
             let (arch, area) = match seed {
                 Seed::Plan(plan) => {
@@ -1038,7 +1110,7 @@ fn explore_engine(
                     let Ok(arch) = RspArchitecture::new(name, Arc::clone(&base), plan) else {
                         return Prepared::Reject;
                     };
-                    let area = models.area_report(&arch);
+                    let area = synth.area(&arch);
                     (arch, area)
                 }
                 Seed::Built(arch, area) => (*arch, area),
@@ -1072,7 +1144,7 @@ fn explore_engine(
                     // lb_et <= est_et — a candidate cut here is
                     // provably rejected by the reference, and its
                     // delay synthesis is skipped entirely.
-                    let floor = models.clock_floor(&arch);
+                    let floor = synth.clock_floor(&arch);
                     let mut lb_floor_et = 0.0;
                     for (c, w) in lb_cycles.iter().zip(weights) {
                         lb_floor_et += w * *c as f64 * floor;
@@ -1082,15 +1154,15 @@ fn explore_engine(
                     }
                 }
             }
-            let (_, delay) = models.reports(&arch);
+            let clock_ns = synth.clock_ns(&arch);
             let mut lb_et = 0.0;
             for (c, w) in lb_cycles.iter().zip(weights) {
-                lb_et += w * *c as f64 * delay.clock_ns;
+                lb_et += w * *c as f64 * clock_ns;
             }
             Prepared::Ready(
                 arch,
                 area.synthesized_slices,
-                delay.clock_ns,
+                clock_ns,
                 cost_ok,
                 lb_cycles,
                 lb_et,
@@ -1101,10 +1173,10 @@ fn explore_engine(
         let prepared: Vec<Prepared> = pool.install(|| {
             chunk
                 .into_par_iter()
-                // Panic isolation *inside* the per-item closure: the
-                // vendored rayon joins its workers with `expect`, so a
-                // panic escaping the closure would abort the whole
-                // sweep instead of poisoning one candidate.
+                // Panic isolation *inside* the per-item closure: a
+                // panic escaping it would re-raise on this thread and
+                // abort the whole sweep instead of poisoning one
+                // candidate.
                 .map(|seed| {
                     catch_unwind(AssertUnwindSafe(|| prepare(seed))).unwrap_or(Prepared::Faulted)
                 })
@@ -1420,7 +1492,7 @@ pub fn explore_reference_with(
         .map(|(c, w)| w * c.total_cycles() as f64 * base_clock)
         .sum();
 
-    let candidates_total = space.plans().count();
+    let candidates_total = space.candidate_count();
     let clock = ControlClock::new(control);
     let mut truncation: Option<TruncationReason> = None;
 
@@ -1623,6 +1695,42 @@ mod tests {
             .expect("a three-kind mix");
         assert!(plan_name(&multi).contains('+'));
         assert!(space.plans().all(|p| !p.groups().is_empty()));
+    }
+
+    #[test]
+    fn candidate_count_matches_enumeration() {
+        let axis = |kind, stages: Vec<u8>, shr: Vec<usize>, shc: Vec<usize>| MixAxis {
+            kind,
+            stages,
+            shr,
+            shc,
+        };
+        // A mix that repeats a kind (two multiplier axes, so plans sharing
+        // both are skipped), lists an all-zero bank pair and a depth past
+        // the template's maximum, beside a grid with an unsharable kind.
+        let repeated = DesignSpace {
+            shared_kinds: vec![FuKind::Shifter, FuKind::Mux, FuKind::Multiplier],
+            stages: vec![1, 2],
+            shr: vec![0, 1],
+            shc: vec![0, 2],
+            mixes: vec![
+                vec![
+                    axis(FuKind::Multiplier, vec![1, 2], vec![0, 1, 2], vec![0, 1]),
+                    axis(FuKind::Shifter, vec![1, 9], vec![1], vec![1]),
+                    axis(FuKind::Multiplier, vec![3], vec![1], vec![0, 2]),
+                ],
+                vec![],
+            ],
+        };
+        for space in [
+            DesignSpace::paper(),
+            DesignSpace::extended(),
+            DesignSpace::deep(),
+            DesignSpace::deep100(),
+            repeated,
+        ] {
+            assert_eq!(space.candidate_count(), space.plans().count(), "{space:?}");
+        }
     }
 
     #[test]

@@ -132,8 +132,8 @@ pub struct FlowConfig {
     /// Whether exploration consults the stage-floor clock bound before
     /// delay synthesis (default [`ClockBound::StageFloor`]).
     pub clock_bound: ClockBound,
-    /// Synthesis-report memo shared across flows (default `None` = one
-    /// fresh cache per exploration, exactly as before). When set, both
+    /// Synthesis-report memo shared across flows (default `None` = the
+    /// models are called directly, once per candidate). When set, both
     /// the exploration phase and the exact stage's delay queries are
     /// served from it — reports are pure, so outputs stay bit-identical;
     /// only re-synthesis is avoided. [`crate::Session`] wires this

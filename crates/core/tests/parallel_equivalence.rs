@@ -3,7 +3,9 @@
 //! estimates, and exact f64 bit patterns), same Pareto frontier, same
 //! selected optimum — for any thread count and for every
 //! result-preserving prune strategy, over both the paper's space and the
-//! extended ablation space.
+//! extended ablation space — and, on the 11,024-candidate `deep100`
+//! space, whether synthesis runs through a caller-shared `ModelCache` or
+//! calls the models directly.
 
 use proptest::prelude::*;
 use rsp_arch::{presets, BaseArchitecture};
@@ -13,7 +15,8 @@ use rsp_core::{
 };
 use rsp_kernel::Kernel;
 use rsp_mapper::{map, ConfigContext, MapOptions};
-use std::sync::OnceLock;
+use rsp_synth::ModelCache;
+use std::sync::{Arc, OnceLock};
 
 /// The full suite mapped onto the 8×8 base, shared across cases (mapping
 /// is the expensive part of the setup, not exploration).
@@ -63,6 +66,68 @@ fn assert_bit_identical(engine: &Exploration, reference: &Exploration) {
     assert_eq!(engine.pareto, reference.pareto, "pareto frontier");
     assert_eq!(engine.best, reference.best, "best index");
     assert_eq!(engine.base_et_ns.to_bits(), reference.base_et_ns.to_bits());
+}
+
+/// `deep100` with direct synthesis (`cache: None`) and with a shared
+/// `ModelCache`, at one, two and all threads: every run reproduces the
+/// serial reference's feasible set, frontier and best point bit for bit,
+/// and all six runs take identical prune decisions.
+#[test]
+fn deep100_is_identical_across_synthesis_paths_and_thread_counts() {
+    let (base, kernels, contexts) = fixture();
+    let weights = vec![1.0; kernels.len()];
+    let space = DesignSpace::deep100();
+    let reference = explore_reference(
+        base,
+        kernels,
+        contexts,
+        &weights,
+        &space,
+        &Constraints::default(),
+        Objective::AreaDelayProduct,
+    )
+    .unwrap();
+    let mut stats = Vec::new();
+    for parallelism in [Some(1), Some(2), None] {
+        for shared in [false, true] {
+            // A fresh cache per run: a warm one answers the clock floor
+            // with a plan's exact clock, which moves cuts from the lower
+            // bound to the clock floor (results stay identical).
+            let cache = shared.then(|| Arc::new(ModelCache::new()));
+            let engine = explore_with(
+                base,
+                kernels,
+                contexts,
+                &weights,
+                &space,
+                &ExploreOptions {
+                    parallelism,
+                    cache: cache.clone(),
+                    ..ExploreOptions::default()
+                },
+            )
+            .unwrap();
+            assert_bit_identical(&engine, &reference);
+            if let Some(cache) = cache {
+                assert!(cache.misses() > 0, "the shared cache served synthesis");
+            }
+            stats.push((parallelism, shared, engine.stats));
+        }
+    }
+    let (_, _, first) = stats[0];
+    assert!(first.candidates_pruned > 0 && first.clock_bound_cuts > 0);
+    for (parallelism, shared, s) in &stats {
+        let at = format!("parallelism {parallelism:?}, shared cache {shared}");
+        assert_eq!(s.candidates_seen, first.candidates_seen, "{at}");
+        assert_eq!(s.candidates_pruned, first.candidates_pruned, "{at}");
+        assert_eq!(s.clock_bound_cuts, first.clock_bound_cuts, "{at}");
+        assert_eq!(s.faulted, first.faulted, "{at}");
+        assert_eq!(
+            s.bound_tightness.to_bits(),
+            first.bound_tightness.to_bits(),
+            "{at}"
+        );
+    }
 }
 
 fn arb_objective() -> impl Strategy<Value = Objective> {

@@ -3,10 +3,15 @@
 //! Area and clock reports depend only on the candidate's geometry and
 //! [`SharingPlan`] — for the paper's single-group spaces that is the
 //! `(kind, shr, shc, stages)` tuple — not on the kernels being explored.
-//! Exploration engines therefore share one [`ModelCache`] across all
-//! candidates (and across repeated explorations of the same base), so
-//! each distinct plan is synthesized exactly once, even when candidate
-//! evaluation fans out over threads.
+//! A [`ModelCache`] shared across repeated explorations of the same base
+//! (a session, a server) therefore synthesizes each distinct plan
+//! exactly once, even when candidate evaluation fans out over threads.
+//!
+//! The memo pays only when it is shared across calls. One design space
+//! lists each plan once, so a cache private to one exploration never
+//! hits, and even a hit — hashing the plan, locking, copying the report
+//! — costs more than the Table 1 models it replaces. The exploration
+//! engine therefore calls the models directly when no cache is passed.
 
 use crate::area::{AreaModel, AreaReport};
 use crate::delay::{DelayModel, DelayReport};
@@ -17,6 +22,9 @@ use std::sync::Mutex;
 
 /// Thread-safe memo of [`AreaModel`]/[`DelayModel`] reports keyed by
 /// `(geometry, plan)`.
+///
+/// Share one across calls that revisit plans; for a single pass over a
+/// space, call the models directly (see the module docs).
 ///
 /// The cache assumes every queried architecture uses the same base PE
 /// design and component library (true within one exploration); geometry
