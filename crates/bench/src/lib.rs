@@ -4,31 +4,14 @@
 //! from the library's models and prints our measurement next to the
 //! published value. One dispatching binary wraps them (`cargo run -p
 //! rsp-bench --bin exhibit -- table2`; `exhibit -- all` prints
-//! everything, the source of `EXPERIMENTS.md`'s measured columns).
+//! everything).
 //!
-//! The crate also owns the tracked benchmark **registry**
-//! ([`registry`]): every tracked benchmark is one declarative
-//! [`registry::BenchDef`] (id, workload, space, engines, anchors,
-//! report labels) paired with a per-kind measurement adapter
-//! ([`adapters`]); the `headline` binary is the one generic runner —
-//! `--list` the definitions, `--run <id-glob>` a subset, `--cmp` two
-//! artifacts rebar-style ([`cmp`]), and `--check`/`--check-all` the CI
-//! benchmark-regression gate ([`gate`]): every committed report is
-//! re-run and fails when an engine's reference-normalized median *and*
-//! best-of-N wall-clock both regress beyond the tolerance, when a
-//! correctness anchor drifts, or when a committed engine configuration
-//! disappears (full rules in `crates/bench/METHODOLOGY.md`). The rows
-//! also track pruning efficacy (`candidates_pruned`,
-//! `bound_tightness`) so the exploration engine's pruning can never
-//! silently rot.
+//! Timing is not measured here: the end-to-end and per-layer benchmark
+//! of the Fig. 7 flow is `perfbench/` at the repository root, declared
+//! by `BENCHMARK.json`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-pub mod adapters;
-pub mod cmp;
-pub mod gate;
-pub mod registry;
 
 use rsp_arch::{presets, OpKind, RspArchitecture};
 use rsp_core::{estimate_stalls, rearrange, run_flow, AppProfile, FlowConfig, KernelPerf};

@@ -13,8 +13,8 @@
 //! [`explore_with`] is a parallel, allocation-free engine; [`explore`] is
 //! a thin compatibility wrapper over it, and [`explore_reference`] keeps
 //! the original textbook serial implementation as the oracle the engine
-//! is property-tested against (and the baseline the tracked
-//! `BENCH_explore.json` measures speedups from). The engine differs from
+//! is property-tested against (and the yardstick its speedups are
+//! measured against). The engine differs from
 //! the reference in *mechanics only* — its results are bit-identical:
 //!
 //! * **Shared base, no deep clones** — candidates hold the base array
@@ -643,7 +643,8 @@ struct CheckpointPoint {
 /// A serializable snapshot of a (possibly truncated) exploration:
 /// the feasible prefix, the enumeration cursor, and an options
 /// fingerprint. Produced by [`Exploration::checkpoint`], consumed by
-/// [`explore_resume`]. Serializes with serde like the BENCH artifacts.
+/// [`explore_resume`]. Serializes with serde (`rsp-cli anytime` writes it
+/// as JSON).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExploreCheckpoint {
     version: u32,
@@ -1423,8 +1424,8 @@ fn validate_checkpoint(
 }
 
 /// The original serial implementation from the paper reproduction, kept
-/// as the oracle for property tests and the baseline for the tracked
-/// benchmark: deep-clones the base per candidate, re-synthesizes every
+/// as the oracle for property tests and the benchmark's reference:
+/// deep-clones the base per candidate, re-synthesizes every
 /// report, and rebuilds a dense demand histogram per candidate through
 /// the original dense estimator — which shares no code with the sparse
 /// profile path, so an estimator regression in either implementation

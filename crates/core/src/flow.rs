@@ -354,8 +354,8 @@ fn select_base(
         // `find_first`, so the tail cannot be cancelled once an
         // earlier-indexed geometry succeeds. On a 1-CPU host this makes
         // the fan-out a measured net cost when the smallest geometry is
-        // feasible (see BENCH_flow.json's flow-paper report); switch to
-        // `find_first` if the real rayon ever backs the stub.
+        // feasible; switch to `find_first` if the real rayon ever backs
+        // the stub.
         let attempted = geometries.len();
         let candidates: Vec<Option<(BaseArchitecture, Vec<ConfigContext>)>> = pool.install(|| {
             geometries

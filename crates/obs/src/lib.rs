@@ -35,8 +35,8 @@
 //! `FlowConfig`, `SessionBuilder`, `ServeConfig` all carry an
 //! `Arc<dyn Recorder>`), and those default to the process-wide
 //! [`global`] recorder — [`set_global`] before building a config and
-//! every subsystem reports to it. That is how `headline --profile` and
-//! `rsp-serve --log-json` observe code that never heard of them.
+//! every subsystem reports to it. That is how `rsp-serve --log-json`
+//! observes code that never heard of it.
 //!
 //! # Example
 //!

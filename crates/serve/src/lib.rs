@@ -89,6 +89,12 @@ const READ_POLL: Duration = Duration::from_millis(50);
 /// accept thread can observe shutdown).
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
+/// Largest number of rows or columns a request may ask for. Mapping,
+/// estimation and rearrangement size per-row and per-PE tables from
+/// these sides, so an unchecked side would let one request exhaust the
+/// server's memory; the paper's largest array is 8×8.
+const MAX_GEOMETRY_SIDE: u64 = 64;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -528,10 +534,18 @@ fn control_of(limits: &Limits) -> ExploreControl {
 /// Checks a requested base geometry at the boundary: the array template
 /// needs at least one row and one column, and a zero must come back as an
 /// error reply rather than reach the geometry constructor's assertion.
+/// Each side is also capped at [`MAX_GEOMETRY_SIDE`], so a huge request
+/// is refused before anything is allocated for it.
 fn geometry_of(rows: u64, cols: u64) -> Result<(usize, usize), String> {
     if rows == 0 || cols == 0 {
         return Err(format!(
             "geometry: {rows}x{cols} has no PEs; rows and cols must be positive"
+        ));
+    }
+    if rows > MAX_GEOMETRY_SIDE || cols > MAX_GEOMETRY_SIDE {
+        return Err(format!(
+            "geometry: {rows}x{cols} is too large; rows and cols must be at most \
+             {MAX_GEOMETRY_SIDE}"
         ));
     }
     Ok((rows as usize, cols as usize))

@@ -106,9 +106,9 @@ pub enum SpaceSpec {
 pub struct MapRequest {
     /// Kernel as textual DFG source.
     pub kernel: String,
-    /// Base array rows.
+    /// Base array rows (1 to 64).
     pub rows: u64,
-    /// Base array columns.
+    /// Base array columns (1 to 64).
     pub cols: u64,
 }
 
@@ -119,9 +119,9 @@ pub struct ExploreRequest {
     pub kernels: Vec<String>,
     /// Execution weights, parallel to `kernels` (`null` = uniform).
     pub weights: Option<Vec<f64>>,
-    /// Base array rows.
+    /// Base array rows (1 to 64).
     pub rows: u64,
-    /// Base array columns.
+    /// Base array columns (1 to 64).
     pub cols: u64,
     /// The space to sweep.
     pub space: SpaceSpec,
@@ -144,7 +144,8 @@ pub struct WorkloadApp {
 pub struct FlowRequest {
     /// The applications to profile.
     pub apps: Vec<WorkloadApp>,
-    /// Candidate base geometries (`null` = the session default).
+    /// Candidate base geometries, each side 1 to 64 (`null` = the
+    /// session default).
     pub geometries: Option<Vec<(u64, u64)>>,
     /// The space to sweep.
     pub space: SpaceSpec,

@@ -6,7 +6,8 @@ use rsp_core::{explore_with, DesignSpace, ExploreOptions, Session, SessionStats}
 use rsp_kernel::suite;
 use rsp_mapper::{map, MapOptions};
 use rsp_serve::proto::{
-    ExploreRequest, FlowRequest, Limits, MapRequest, Request, Response, SpaceSpec, WorkloadApp,
+    ExploreRequest, FlowReply, FlowRequest, Limits, MapRequest, Request, Response, SpaceSpec,
+    WorkloadApp,
 };
 use rsp_serve::{Client, ServeConfig, Server};
 use rsp_workload::print_kernel;
@@ -209,6 +210,9 @@ fn serves_map_and_flow_and_survives_panicking_requests() {
     server.shutdown();
 }
 
+/// A served flow reply is byte-identical to the one built from the
+/// in-process session flow, and repeating the request on the now-warm
+/// server synthesizes nothing new.
 #[test]
 fn served_flow_matches_in_process_session_flow() {
     let apps = vec![rsp_core::AppProfile::new(
@@ -223,32 +227,45 @@ fn served_flow_matches_in_process_session_flow() {
             rsp_core::ExploreControl::default(),
         )
         .unwrap();
+    let expected = serde_json::to_string(&Response::Flowed(FlowReply {
+        base_pe_count: report.base.geometry().pe_count() as u64,
+        chosen: report.chosen.name().to_string(),
+        area_slices: report.area_slices,
+        base_area_slices: report.base_area_slices,
+        weighted_et_ns: report.weighted_et_ns(),
+        feasible: report.exploration.feasible.len() as u64,
+        critical_loops: report.critical_loops.len() as u64,
+        refill_segments: report.stats.refill_segments as u64,
+        refill_stall_cycles: report.stats.refill_stall_cycles,
+        complete: report.completeness.is_complete(),
+    }))
+    .unwrap();
 
     let server = Server::spawn(ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let served = client
-        .call(Request::Flow(FlowRequest {
-            apps: vec![WorkloadApp {
-                name: "video".into(),
-                kernels: vec![(dfg(&suite::fdct()), 99), (dfg(&suite::sad()), 396)],
-            }],
-            geometries: None,
-            space: SpaceSpec::Paper,
-            limits: Limits::none(),
-        }))
-        .unwrap();
-    match served {
-        Response::Flowed(f) => {
-            assert_eq!(f.chosen, report.chosen.name());
-            assert_eq!(f.area_slices.to_bits(), report.area_slices.to_bits());
-            assert_eq!(
-                f.weighted_et_ns.to_bits(),
-                report.weighted_et_ns().to_bits()
-            );
-            assert_eq!(f.refill_segments as usize, report.stats.refill_segments);
-        }
-        other => panic!("expected Flowed, got {other:?}"),
-    }
+    let mut flow = || {
+        let served = client
+            .call(Request::Flow(FlowRequest {
+                apps: vec![WorkloadApp {
+                    name: "video".into(),
+                    kernels: vec![(dfg(&suite::fdct()), 99), (dfg(&suite::sad()), 396)],
+                }],
+                geometries: None,
+                space: SpaceSpec::Paper,
+                limits: Limits::none(),
+            }))
+            .unwrap();
+        assert_eq!(serde_json::to_string(&served).unwrap(), expected);
+    };
+    flow();
+    let cold = stats_of(&mut Client::connect(server.addr()).unwrap());
+    flow();
+    let warm = stats_of(&mut Client::connect(server.addr()).unwrap());
+    assert_eq!(
+        warm.model_misses, cold.model_misses,
+        "a warm flow must not synthesize anything new"
+    );
+    assert!(warm.model_hits > cold.model_hits);
     server.shutdown();
 }
 
@@ -407,8 +424,7 @@ fn panics_and_rejections_surface_as_structured_events() {
 #[test]
 fn prewarmed_session_is_visible_through_the_wire() {
     // A host can pre-warm the shared session before serving: the first
-    // wire request then starts warm (the serve benchmark's warm rows
-    // lean on exactly this).
+    // wire request then starts warm.
     let session = std::sync::Arc::new(Session::builder().build());
     let base = session.base(8, 8);
     session
@@ -473,6 +489,20 @@ fn zero_geometries_get_typed_errors_not_isolated_panics() {
             limits: Limits::none(),
         }),
         flow(vec![(8, 8), (0, 0)]),
+        Request::Map(MapRequest {
+            kernel: dfg(&suite::sad()),
+            rows: u64::MAX,
+            cols: u64::MAX,
+        }),
+        Request::Explore(ExploreRequest {
+            kernels: vec![dfg(&suite::sad())],
+            weights: None,
+            rows: 8,
+            cols: 1 << 40,
+            space: SpaceSpec::Paper,
+            limits: Limits::none(),
+        }),
+        flow(vec![(8, 8), (1 << 32, 1 << 32)]),
     ];
     for request in requests {
         match client.call(request).unwrap() {

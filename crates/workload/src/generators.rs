@@ -12,8 +12,8 @@
 //! [`reduction`]`(8192, 8, 8)` exceeds both while staying
 //! multiplication-free, so its *rearranged* schedules keep fitting the
 //! cache on every sharing variant — the kernel families that finally
-//! force multi-geometry flows off the 4×4 early exit (see
-//! `BENCH_workload.json`).
+//! force multi-geometry flows off the 4×4 early exit (pinned by the
+//! `flow-workload` rows of `tests/bench_anchors.rs`).
 
 use rsp_kernel::{AddrExpr, DfgBuilder, Kernel, KernelBuilder, MappingStyle, NodeId, Operand};
 

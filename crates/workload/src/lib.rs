@@ -7,9 +7,8 @@
 //! random-DFG generator whose outputs are valid by construction). A
 //! fixed generated suite is committed under the repository's
 //! `workloads/` directory ([`registry`], regenerated by the
-//! `workloadgen` binary) and feeds the `flow-workload` benchmark
-//! (`BENCH_workload.json`), whose multi-geometry exploration genuinely
-//! selects the paper's 8×8 array.
+//! `workloadgen` binary); its multi-geometry flow genuinely selects the
+//! paper's 8×8 array (pinned by `tests/bench_anchors.rs`).
 //!
 //! Every workload — parsed, generated, or random — goes through the same
 //! contract: it maps (`rsp-mapper`), rearranges (`rsp-core`), and

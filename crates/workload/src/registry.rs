@@ -17,10 +17,9 @@ use rsp_kernel::Kernel;
 pub const RANDOM_SEEDS: [u64; 2] = [0xA11CE, 0xB0B];
 
 /// The exploration slowdown cap (`Constraints::max_slowdown`) flows over
-/// this suite run with — the single source of truth shared by
-/// `BENCH_workload.json`, the flow integration tests, and the
-/// `workload_flow` example, so the committed anchors always describe
-/// the space the tests exercise.
+/// this suite run with — the single source of truth shared by the
+/// anchor and flow integration tests and the `workload_flow` example,
+/// so the pinned anchors always describe the space the example runs.
 ///
 /// This is the paper's own 1.5× cap. The suite deliberately contains
 /// `matmul16`, whose stalls on one-multiplier-per-row variants run an

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .geometries(vec![(4, 4), (6, 6), (8, 8)])
         // The suite-wide cap (rationale on the constant): matmul16's
         // refill-charged stall estimates would fail the paper's 1.5×
-        // everywhere. Same cap the tracked BENCH_workload.json uses.
+        // everywhere. Same cap the workload anchor tests use.
         .constraints(Constraints {
             enforce_cost_bound: true,
             max_slowdown: SUITE_MAX_SLOWDOWN,

@@ -8,15 +8,30 @@
 //! rsp-cli schedule <kernel> [arch]       render the (rearranged) schedule
 //! rsp-cli explore                        run the paper's design space
 //! rsp-cli verify <kernel> <arch> [seed]  simulate vs reference evaluator
+//! rsp-cli anytime [--deadline-ms N] [--resume PATH]
+//!                                        deep-space sweep under a deadline
 //! ```
+//!
+//! `anytime` demonstrates the anytime layer live: one exploration of the
+//! 480-candidate deep space under an optional wall-clock deadline,
+//! reporting how far it got and what it found. With `--resume PATH` the
+//! run starts from the checkpoint at `PATH` when the file exists and,
+//! whenever it is truncated, writes its checkpoint back there, so
+//! repeated invocations ratchet the sweep to completion. `--resume`
+//! alone finishes a checkpointed sweep in one go.
 
 use rsp::arch::{presets, RspArchitecture};
-use rsp::core::{evaluate_perf, rearrange, DesignSpace, Session};
+use rsp::core::{
+    evaluate_perf, explore_resume, explore_with, rearrange, Completeness, DesignSpace,
+    ExploreCheckpoint, ExploreControl, Session,
+};
 use rsp::kernel::{evaluate, suite, Bindings, Kernel, MemoryImage};
 use rsp::mapper::{map, MapOptions};
 use rsp::sim::simulate;
 use rsp::synth::{AreaModel, DelayModel};
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn kernels() -> Vec<Kernel> {
     let mut v = suite::all();
@@ -48,6 +63,8 @@ fn usage() -> ExitCode {
          \x20 schedule <kernel> [arch]       render the schedule (default: base)\n\
          \x20 explore                        run the paper's design-space exploration\n\
          \x20 verify <kernel> <arch> [seed]  simulate and compare with the evaluator\n\
+         \x20 anytime [--deadline-ms N] [--resume PATH]\n\
+         \x20                                deep-space sweep under a deadline, checkpointed\n\
          \n\
          kernel names: {}\n\
          arch names:   Base RS#1..RS#4 RSP#1..RSP#4",
@@ -58,6 +75,101 @@ fn usage() -> ExitCode {
             .join(", ")
     );
     ExitCode::FAILURE
+}
+
+/// The live anytime demo: one deep-space exploration under an optional
+/// wall-clock deadline, optionally resumed from and checkpointed to
+/// `--resume PATH`. Errors are one-line diagnostics.
+fn anytime(args: &[String]) -> Result<(), String> {
+    let mut deadline_ms: Option<u64> = None;
+    let mut resume_path: Option<&str> = None;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let value = args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--deadline-ms" => {
+                let ms = value?
+                    .parse()
+                    .map_err(|_| "--deadline-ms needs a millisecond count".to_string())?;
+                deadline_ms = Some(ms);
+            }
+            "--resume" => resume_path = Some(value?),
+            other => return Err(format!("unknown anytime argument {other:?}")),
+        }
+    }
+
+    // The session assembles options and memoizes the mapped contexts —
+    // the same request layer `explore` and `rsp-serve` build on.
+    let session = Session::builder().build();
+    let base = session.base(8, 8);
+    let kernels = suite::all();
+    let contexts: Vec<_> = kernels
+        .iter()
+        .map(|k| session.map(&base, k).map(|c| (*c).clone()))
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("mapping failed: {e}"))?;
+    let weights = vec![1.0; kernels.len()];
+    let space = DesignSpace::deep();
+    let control = match deadline_ms {
+        Some(ms) => ExploreControl::with_deadline(Duration::from_millis(ms)),
+        None => ExploreControl::default(),
+    };
+    let options = session.explore_options(control);
+
+    let checkpoint = match resume_path {
+        Some(path) if Path::new(path).exists() => {
+            let raw = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read checkpoint {path}: {e}"))?;
+            let ckpt: ExploreCheckpoint = serde_json::from_str(&raw)
+                .map_err(|e| format!("{path}: invalid checkpoint: {e}"))?;
+            println!(
+                "resuming from {path}: {}/{} candidates done",
+                ckpt.cursor(),
+                ckpt.candidates_total()
+            );
+            Some(ckpt)
+        }
+        _ => None,
+    };
+
+    let result = match &checkpoint {
+        Some(ckpt) => explore_resume(&base, &kernels, &contexts, &weights, &space, &options, ckpt),
+        None => explore_with(&base, &kernels, &contexts, &weights, &space, &options),
+    }
+    .map_err(|e| format!("anytime exploration failed: {e}"))?;
+
+    match result.completeness {
+        Completeness::Complete => println!(
+            "complete: {} candidates, {} feasible, {} on the frontier, best {}",
+            result.stats.candidates_seen,
+            result.feasible.len(),
+            result.pareto.len(),
+            result.best_point().arch.name()
+        ),
+        Completeness::Truncated {
+            candidates_remaining,
+            reason,
+        } => {
+            let best = result
+                .try_best_point()
+                .map(|p| p.arch.name().to_string())
+                .unwrap_or_else(|| "none yet".into());
+            println!(
+                "truncated ({reason:?}): {} candidates done, {} remaining, {} feasible so far, best {best}",
+                result.stats.candidates_seen,
+                candidates_remaining,
+                result.feasible.len(),
+            );
+            if let Some(path) = resume_path {
+                let json = serde_json::to_string_pretty(&result.checkpoint())
+                    .map_err(|e| format!("checkpoint does not serialize: {e}"))?;
+                std::fs::write(path, json + "\n")
+                    .map_err(|e| format!("cannot write checkpoint {path}: {e}"))?;
+                println!("checkpoint written to {path} — rerun with --resume {path} to continue");
+            }
+        }
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -278,6 +390,13 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
+        "anytime" => match anytime(&args[1..]) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("rsp-cli anytime: {e}");
+                ExitCode::FAILURE
+            }
+        },
         _ => usage(),
     }
 }
