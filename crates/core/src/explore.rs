@@ -65,8 +65,8 @@
 //!   opt-in.
 //! * **Area-ordered enumeration** — under [`PruneStrategy::Dominated`]
 //!   candidates are enumerated in ascending synthesized-area order
-//!   (areas come from the area model alone, or from the shared
-//!   [`ModelCache`]'s area-only fast path),
+//!   (areas come from the area model alone, or from a shared
+//!   [`ModelCache`] entry when one exists),
 //!   so small, strong designs populate the frontier first and the
 //!   dominated test starts cutting almost immediately instead of after
 //!   most of the space has been estimated. The ordering pre-pass
@@ -120,7 +120,7 @@ use rsp_arch::{BaseArchitecture, FuKind, RspArchitecture, SharedGroup, SharingPl
 use rsp_kernel::Kernel;
 use rsp_mapper::ConfigContext;
 use rsp_obs::{Recorder, Span, Value};
-use rsp_synth::{AreaModel, AreaReport, DelayModel, ModelCache};
+use rsp_synth::{AreaModel, AreaReport, DelayModel, DelayReport, ModelCache};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -762,8 +762,10 @@ enum Seed {
     Invalid,
 }
 
-/// Where one run's synthesis reports come from.
-enum Synth<'a> {
+/// Where one run's synthesis reports come from — the one place the
+/// engine and the flow's exact stage choose between the caller's memo
+/// and the Table 1 models.
+pub(crate) enum Synth<'a> {
     /// The caller's memo, shared across runs (a `Session` or server):
     /// plans repeat across calls, so hits pay there.
     Shared(&'a ModelCache),
@@ -773,7 +775,15 @@ enum Synth<'a> {
     Direct(AreaModel, DelayModel),
 }
 
-impl Synth<'_> {
+impl<'a> Synth<'a> {
+    /// The shared memo when the caller passes one, else the models.
+    pub(crate) fn new(cache: Option<&'a ModelCache>) -> Self {
+        match cache {
+            Some(cache) => Self::Shared(cache),
+            None => Self::Direct(AreaModel::new(), DelayModel::new()),
+        }
+    }
+
     fn area(&self, arch: &RspArchitecture) -> AreaReport {
         match self {
             Self::Shared(cache) => cache.area_report(arch),
@@ -781,8 +791,7 @@ impl Synth<'_> {
         }
     }
 
-    /// Admissible clock floor from the stage structure (the shared memo
-    /// answers with the exact clock of a plan it already synthesized).
+    /// Admissible clock floor from the stage structure.
     fn clock_floor(&self, arch: &RspArchitecture) -> f64 {
         match self {
             Self::Shared(cache) => cache.clock_floor(arch),
@@ -790,10 +799,10 @@ impl Synth<'_> {
         }
     }
 
-    fn clock_ns(&self, arch: &RspArchitecture) -> f64 {
+    pub(crate) fn delay(&self, arch: &RspArchitecture) -> DelayReport {
         match self {
-            Self::Shared(cache) => cache.reports(arch).1.clock_ns,
-            Self::Direct(_, delay) => delay.report(arch).clock_ns,
+            Self::Shared(cache) => cache.reports(arch).1,
+            Self::Direct(_, delay) => delay.report(arch),
         }
     }
 }
@@ -934,16 +943,13 @@ fn explore_engine(
     assert_eq!(kernels.len(), contexts.len());
     assert_eq!(kernels.len(), weights.len());
     let constraints = &options.constraints;
-    let synth = match options.cache.as_deref() {
-        Some(cache) => Synth::Shared(cache),
-        None => Synth::Direct(AreaModel::new(), DelayModel::new()),
-    };
+    let synth = Synth::new(options.cache.as_deref());
     let cache_depth = base.config_cache_depth() as u32;
     let base = Arc::new(base.clone());
 
     let base_arch = RspArchitecture::new("Base", Arc::clone(&base), SharingPlan::none())
         .expect("base plan is always valid");
-    let base_clock = synth.clock_ns(&base_arch);
+    let base_clock = synth.delay(&base_arch).clock_ns;
     let base_et: f64 = contexts
         .iter()
         .zip(weights)
@@ -1155,7 +1161,7 @@ fn explore_engine(
                     }
                 }
             }
-            let clock_ns = synth.clock_ns(&arch);
+            let clock_ns = synth.delay(&arch).clock_ns;
             let mut lb_et = 0.0;
             for (c, w) in lb_cycles.iter().zip(weights) {
                 lb_et += w * *c as f64 * clock_ns;

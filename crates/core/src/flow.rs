@@ -67,6 +67,7 @@ use crate::error::RspError;
 use crate::estimate::{BoundKind, ClockBound};
 use crate::explore::{
     explore_with, Constraints, DesignSpace, Exploration, ExploreOptions, Objective, PruneStrategy,
+    Synth,
 };
 use crate::perf::{perf_from_rearranged_with, KernelPerf};
 use crate::rearrange::{RearrangeOptions, RearrangeSkeleton, Rearranged};
@@ -178,6 +179,37 @@ impl Default for FlowConfig {
             control: ExploreControl::default(),
             recorder: rsp_obs::global(),
         }
+    }
+}
+
+impl FlowConfig {
+    /// The [`ExploreOptions`] this configuration runs exploration under,
+    /// with `control` as the run's budget — the one mapping from flow
+    /// settings to engine options ([`run_flow`], [`crate::Session`]).
+    pub fn explore_options(&self, control: ExploreControl) -> ExploreOptions {
+        ExploreOptions {
+            parallelism: self.parallelism,
+            prune: self.prune,
+            bound: self.bound,
+            clock_bound: self.clock_bound,
+            constraints: self.constraints,
+            objective: self.objective,
+            cache: self.cache.clone(),
+            profiles: self.profiles.clone(),
+            control,
+            recorder: Arc::clone(&self.recorder),
+        }
+    }
+
+    /// A `rows × cols` base array of the paper's PE design and bus spec
+    /// with this configuration's cache depth.
+    pub(crate) fn base(&self, rows: usize, cols: usize) -> BaseArchitecture {
+        BaseArchitecture::new(
+            ArrayGeometry::new(rows, cols),
+            PeDesign::full(),
+            BusSpec::paper_default(),
+            self.config_cache_depth,
+        )
     }
 }
 
@@ -299,12 +331,7 @@ fn map_geometry(
     config: &FlowConfig,
     loops: &[CriticalLoop],
 ) -> Option<(BaseArchitecture, Vec<ConfigContext>)> {
-    let base = BaseArchitecture::new(
-        ArrayGeometry::new(rows, cols),
-        PeDesign::full(),
-        BusSpec::paper_default(),
-        config.config_cache_depth,
-    );
+    let base = config.base(rows, cols);
     let mapped: Result<Vec<_>, _> = loops
         .iter()
         .map(|cl| map(&base, &cl.kernel, &config.map_options))
@@ -469,22 +496,11 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
         &contexts,
         &kernel_weights,
         &config.space,
-        &ExploreOptions {
-            parallelism: config.parallelism,
-            prune: config.prune,
-            bound: config.bound,
-            clock_bound: config.clock_bound,
-            constraints: config.constraints,
-            objective: config.objective,
-            cache: config.cache.clone(),
-            profiles: config.profiles.clone(),
-            control: ExploreControl {
-                deadline: clock.remaining_deadline(),
-                candidate_budget: config.control.candidate_budget,
-                cancel: config.control.cancel_handle(),
-            },
-            recorder: Arc::clone(&config.recorder),
-        },
+        &config.explore_options(ExploreControl {
+            deadline: clock.remaining_deadline(),
+            candidate_budget: config.control.candidate_budget,
+            cancel: config.control.cancel_handle(),
+        }),
     )?;
     drop(explore_span);
     stats.candidates_pruned = exploration.stats.candidates_pruned;
@@ -498,7 +514,7 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
     //    order (so skip decisions only ever depend on earlier
     //    candidates — deterministic for every thread count); each
     //    candidate's per-kernel rearrangements fan out over the pool.
-    let delay = DelayModel::new();
+    let synth = Synth::new(config.cache.as_deref());
     let score_of = |area: f64, et: f64| match config.objective {
         Objective::AreaDelayProduct => area * et,
         Objective::ExecutionTime => et,
@@ -572,10 +588,7 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
         // Panic-isolated like every candidate evaluation: a faulted
         // candidate is counted and skipped, never aborts the flow.
         let _rearrange_span = Span::enter(obs, "flow", "rearrange", ci as u64);
-        let Ok(delay_report) = catch_unwind(AssertUnwindSafe(|| match config.cache.as_deref() {
-            Some(cache) => cache.reports(&point.arch).1,
-            None => delay.report(&point.arch),
-        })) else {
+        let Ok(delay_report) = catch_unwind(AssertUnwindSafe(|| synth.delay(&point.arch))) else {
             stats.faulted += 1;
             stats.rearrangements_failed += 1;
             if first_err.is_none() {

@@ -3,14 +3,14 @@
 //! A [`Session`] owns everything that outlives one query: the memoized
 //! synthesis reports ([`ModelCache`], keyed by `(geometry, plan)`), the
 //! per-kernel demand profiles ([`ProfileCache`], keyed by kernel hash),
-//! the mapped initial contexts, and the option defaults that every
-//! request inherits. The engine entry points ([`explore_with`],
-//! [`run_flow`]) stay pure functions of their inputs; a session merely
-//! *assembles* their option structs — one [`SessionBuilder`] replaces
-//! the hand-built `ExploreOptions` + `FlowConfig` + [`ExploreControl`]
-//! pattern at call sites — and threads its shared caches through them,
-//! so repeated or concurrent requests never re-synthesize a plan or
-//! re-profile a kernel they have seen.
+//! the mapped initial contexts, and one [`FlowConfig`] template that
+//! every request inherits. The engine entry points ([`explore_with`],
+//! [`run_flow`]) stay pure functions of their inputs; a session only
+//! fills in the per-request design space and [`ExploreControl`], and
+//! the template carries the shared caches, so repeated or concurrent
+//! requests never re-synthesize a plan or re-profile a kernel they have
+//! seen. Engine options come from [`FlowConfig::explore_options`] for
+//! sessions and single-shot flows alike.
 //!
 //! Results are unaffected: cached reports and profiles are pure
 //! functions of their keys, so a session-backed query is bit-identical
@@ -48,15 +48,12 @@
 
 use crate::control::ExploreControl;
 use crate::error::RspError;
-use crate::estimate::{BoundKind, ClockBound, ContextProfile};
-use crate::explore::{
-    explore_with, Constraints, DesignSpace, Exploration, ExploreOptions, Objective, PruneStrategy,
-};
+use crate::estimate::ContextProfile;
+use crate::explore::{explore_with, Constraints, DesignSpace, Exploration, ExploreOptions};
 use crate::flow::{run_flow, AppProfile, FlowConfig, FlowReport};
-use crate::rearrange::RearrangeOptions;
-use rsp_arch::{ArrayGeometry, BaseArchitecture, BusSpec, FuKind, PeDesign};
+use rsp_arch::{BaseArchitecture, FuKind};
 use rsp_kernel::Kernel;
-use rsp_mapper::{map, ConfigContext, MapOptions};
+use rsp_mapper::{map, ConfigContext};
 use rsp_obs::Recorder;
 use rsp_synth::ModelCache;
 use std::collections::hash_map::DefaultHasher;
@@ -152,43 +149,11 @@ impl ProfileCache {
     }
 }
 
-/// Builder for a [`Session`]: every knob the old hand-assembled
-/// `ExploreOptions` / [`FlowConfig`] pattern exposed, with the same
-/// defaults, set once and inherited by every request.
-#[derive(Debug, Clone)]
+/// Builder for a [`Session`]: a [`FlowConfig`] template, starting from
+/// the engine defaults, that every request of the session inherits.
+#[derive(Debug, Clone, Default)]
 pub struct SessionBuilder {
-    parallelism: Option<usize>,
-    prune: PruneStrategy,
-    bound: BoundKind,
-    clock_bound: ClockBound,
-    constraints: Constraints,
-    objective: Objective,
-    coverage: f64,
-    geometries: Vec<(usize, usize)>,
-    config_cache_depth: usize,
-    map_options: MapOptions,
-    rearrange_options: RearrangeOptions,
-    recorder: Arc<dyn Recorder>,
-}
-
-impl Default for SessionBuilder {
-    fn default() -> Self {
-        let flow = FlowConfig::default();
-        Self {
-            parallelism: flow.parallelism,
-            prune: flow.prune,
-            bound: flow.bound,
-            clock_bound: flow.clock_bound,
-            constraints: flow.constraints,
-            objective: flow.objective,
-            coverage: flow.coverage,
-            geometries: flow.geometries,
-            config_cache_depth: flow.config_cache_depth,
-            map_options: flow.map_options,
-            rearrange_options: flow.rearrange_options,
-            recorder: flow.recorder,
-        }
-    }
+    template: FlowConfig,
 }
 
 impl SessionBuilder {
@@ -197,86 +162,44 @@ impl SessionBuilder {
         Self::default()
     }
 
-    /// Worker threads per request (`None` = all cores, `Some(1)` =
-    /// serial; results are identical either way).
-    pub fn parallelism(mut self, parallelism: Option<usize>) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Pruning aggressiveness (see [`PruneStrategy`]).
-    pub fn prune(mut self, prune: PruneStrategy) -> Self {
-        self.prune = prune;
-        self
-    }
-
-    /// Lower-bound strength pruning works with (see [`BoundKind`]).
-    pub fn bound(mut self, bound: BoundKind) -> Self {
-        self.bound = bound;
-        self
-    }
-
-    /// Stage-floor clock cut before delay synthesis (see [`ClockBound`]).
-    pub fn clock_bound(mut self, clock_bound: ClockBound) -> Self {
-        self.clock_bound = clock_bound;
-        self
-    }
-
     /// Feasibility constraints.
     pub fn constraints(mut self, constraints: Constraints) -> Self {
-        self.constraints = constraints;
-        self
-    }
-
-    /// Selection objective.
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
+        self.template.constraints = constraints;
         self
     }
 
     /// Profiling coverage for flow requests ([`FlowConfig::coverage`]).
     pub fn coverage(mut self, coverage: f64) -> Self {
-        self.coverage = coverage;
+        self.template.coverage = coverage;
         self
     }
 
     /// Candidate base geometries for flow requests.
     pub fn geometries(mut self, geometries: Vec<(usize, usize)>) -> Self {
-        self.geometries = geometries;
-        self
-    }
-
-    /// Per-PE configuration-cache depth of session-built bases.
-    pub fn config_cache_depth(mut self, depth: usize) -> Self {
-        self.config_cache_depth = depth;
-        self
-    }
-
-    /// Mapper options for session-built contexts.
-    pub fn map_options(mut self, map_options: MapOptions) -> Self {
-        self.map_options = map_options;
-        self
-    }
-
-    /// Rearrangement options for flow requests.
-    pub fn rearrange_options(mut self, rearrange_options: RearrangeOptions) -> Self {
-        self.rearrange_options = rearrange_options;
+        self.template.geometries = geometries;
         self
     }
 
     /// Recorder every request of this session reports to (defaults to
     /// [`rsp_obs::global`]; purely observational — see `rsp_obs` docs).
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = recorder;
+        self.template.recorder = recorder;
         self
     }
 
-    /// Builds the session with fresh (empty) caches.
+    /// Builds the session with fresh (empty) caches attached to the
+    /// template.
     pub fn build(self) -> Session {
+        let models = Arc::new(ModelCache::new());
+        let profiles = Arc::new(ProfileCache::new());
         Session {
-            config: self,
-            models: Arc::new(ModelCache::new()),
-            profiles: Arc::new(ProfileCache::new()),
+            template: FlowConfig {
+                cache: Some(Arc::clone(&models)),
+                profiles: Some(Arc::clone(&profiles)),
+                ..self.template
+            },
+            models,
+            profiles,
             contexts: Mutex::new(HashMap::new()),
             context_hits: AtomicU64::new(0),
             context_misses: AtomicU64::new(0),
@@ -288,7 +211,7 @@ impl SessionBuilder {
 /// Cache observability snapshot ([`Session::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
-    /// Distinct plans with full synthesis reports ([`ModelCache::len`]).
+    /// Distinct plans with synthesis reports ([`ModelCache::len`]).
     pub model_reports: usize,
     /// Synthesis-memo hits ([`ModelCache::hits`]).
     pub model_hits: u64,
@@ -311,15 +234,16 @@ pub struct SessionStats {
     pub requests: u64,
 }
 
-/// Long-lived engine state shared by every request: option defaults
-/// plus the synthesis, profile, and mapping caches. See the module docs
+/// Long-lived engine state shared by every request: the configuration
+/// template plus the synthesis, profile, and mapping caches. See the module docs
 /// for the session/engine split; construct via [`Session::builder`].
 ///
 /// `Session` is `Send + Sync`: concurrent requests share the caches and
 /// observe bit-identical results to serial runs.
 #[derive(Debug)]
 pub struct Session {
-    config: SessionBuilder,
+    /// Every request's configuration; carries `models` and `profiles`.
+    template: FlowConfig,
     models: Arc<ModelCache>,
     profiles: Arc<ProfileCache>,
     contexts: Mutex<HashMap<u64, Arc<ConfigContext>>>,
@@ -338,11 +262,6 @@ impl Session {
     /// Starts building a session from the engine defaults.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
-    }
-
-    /// The shared synthesis memo every request of this session uses.
-    pub fn model_cache(&self) -> Arc<ModelCache> {
-        Arc::clone(&self.models)
     }
 
     /// The shared kernel-profile memo.
@@ -366,66 +285,26 @@ impl Session {
         }
     }
 
-    /// The recorder this session's requests report to.
-    pub fn recorder(&self) -> Arc<dyn Recorder> {
-        Arc::clone(&self.config.recorder)
-    }
-
     /// A base architecture with the session's configuration-cache depth
     /// (paper PE design and bus spec).
     pub fn base(&self, rows: usize, cols: usize) -> BaseArchitecture {
-        BaseArchitecture::new(
-            ArrayGeometry::new(rows, cols),
-            PeDesign::full(),
-            BusSpec::paper_default(),
-            self.config_cache_depth(),
-        )
+        self.template.base(rows, cols)
     }
 
-    /// The session's configuration-cache depth.
-    pub fn config_cache_depth(&self) -> usize {
-        self.config.config_cache_depth
-    }
-
-    /// [`ExploreOptions`] assembled from the session defaults with the
-    /// shared caches attached — the unified replacement for hand-built
-    /// option structs. `control` carries the per-request deadline /
-    /// candidate budget / cancel flag.
+    /// The [`ExploreOptions`] of this session's template
+    /// ([`FlowConfig::explore_options`]), shared caches attached.
+    /// `control` carries the per-request deadline / candidate budget /
+    /// cancel flag.
     pub fn explore_options(&self, control: ExploreControl) -> ExploreOptions {
-        ExploreOptions {
-            parallelism: self.config.parallelism,
-            prune: self.config.prune,
-            bound: self.config.bound,
-            clock_bound: self.config.clock_bound,
-            constraints: self.config.constraints,
-            objective: self.config.objective,
-            cache: Some(Arc::clone(&self.models)),
-            profiles: Some(Arc::clone(&self.profiles)),
-            control,
-            recorder: Arc::clone(&self.config.recorder),
-        }
+        self.template.explore_options(control)
     }
 
-    /// [`FlowConfig`] assembled from the session defaults with the
-    /// shared caches attached; `control` is per-request.
-    pub fn flow_config(&self, space: DesignSpace, control: ExploreControl) -> FlowConfig {
+    /// The template with the per-request `space` and `control`.
+    fn flow_config(&self, space: DesignSpace, control: ExploreControl) -> FlowConfig {
         FlowConfig {
-            coverage: self.config.coverage,
-            geometries: self.config.geometries.clone(),
-            config_cache_depth: self.config.config_cache_depth,
             space,
-            constraints: self.config.constraints,
-            objective: self.config.objective,
-            map_options: self.config.map_options,
-            rearrange_options: self.config.rearrange_options,
-            parallelism: self.config.parallelism,
-            prune: self.config.prune,
-            bound: self.config.bound,
-            clock_bound: self.config.clock_bound,
-            cache: Some(Arc::clone(&self.models)),
-            profiles: Some(Arc::clone(&self.profiles)),
             control,
-            recorder: Arc::clone(&self.config.recorder),
+            ..self.template.clone()
         }
     }
 
@@ -444,18 +323,18 @@ impl Session {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let key = fingerprint(format_args!(
             "{base:?}\u{1}{kernel:?}\u{1}{:?}",
-            self.config.map_options
+            self.template.map_options
         ));
         if let Some(hit) = self.contexts.lock().unwrap().get(&key) {
             self.context_hits.fetch_add(1, Ordering::Relaxed);
-            rsp_obs::count(&*self.config.recorder, "session", "context_hit", 1);
+            rsp_obs::count(&*self.template.recorder, "session", "context_hit", 1);
             return Ok(Arc::clone(hit));
         }
         // A racing duplicate build counts as a miss too: hits + misses
         // always equals `map` calls exactly (see the concurrency test).
         self.context_misses.fetch_add(1, Ordering::Relaxed);
-        rsp_obs::count(&*self.config.recorder, "session", "context_miss", 1);
-        let ctx = Arc::new(map(base, kernel, &self.config.map_options).map_err(RspError::Map)?);
+        rsp_obs::count(&*self.template.recorder, "session", "context_miss", 1);
+        let ctx = Arc::new(map(base, kernel, &self.template.map_options).map_err(RspError::Map)?);
         self.contexts
             .lock()
             .unwrap()
@@ -496,7 +375,7 @@ impl Session {
         )
     }
 
-    /// Runs the full Fig. 7 flow over `apps` under the session defaults
+    /// Runs the full Fig. 7 flow over `apps` under the session template
     /// and shared caches. Bit-identical to a cold [`run_flow`] call.
     ///
     /// # Errors
@@ -508,8 +387,29 @@ impl Session {
         space: DesignSpace,
         control: ExploreControl,
     ) -> Result<FlowReport, RspError> {
+        self.flow_with(apps, None, space, control)
+    }
+
+    /// [`Session::flow`] with the request's own candidate base
+    /// geometries in place of the template's, when given (as a served
+    /// Flow request may). Counts as one request.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`run_flow`]'s errors.
+    pub fn flow_with(
+        &self,
+        apps: &[AppProfile],
+        geometries: Option<Vec<(usize, usize)>>,
+        space: DesignSpace,
+        control: ExploreControl,
+    ) -> Result<FlowReport, RspError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        run_flow(apps, &self.flow_config(space, control))
+        let mut config = self.flow_config(space, control);
+        if let Some(geometries) = geometries {
+            config.geometries = geometries;
+        }
+        run_flow(apps, &config)
     }
 }
 
@@ -517,6 +417,7 @@ impl Session {
 mod tests {
     use super::*;
     use rsp_kernel::suite;
+    use rsp_mapper::MapOptions;
 
     fn kernels_and_weights() -> (Vec<Kernel>, Vec<f64>) {
         let kernels = vec![suite::fdct(), suite::sad(), suite::inner_product()];
@@ -524,26 +425,111 @@ mod tests {
         (kernels, weights)
     }
 
-    #[test]
-    fn builder_defaults_mirror_engine_defaults() {
-        let session = Session::builder().build();
-        let opts = session.explore_options(ExploreControl::default());
-        let defaults = ExploreOptions::default();
-        assert_eq!(opts.parallelism, defaults.parallelism);
-        assert_eq!(opts.prune, defaults.prune);
-        assert_eq!(opts.bound, defaults.bound);
-        assert_eq!(opts.clock_bound, defaults.clock_bound);
-        assert_eq!(opts.constraints, defaults.constraints);
-        assert_eq!(opts.objective, defaults.objective);
-        // The one deliberate difference: the session's caches ride along.
-        assert!(opts.cache.is_some());
-        assert!(opts.profiles.is_some());
+    /// `Debug` rendering of everything a session may not change in a
+    /// flow configuration: all but the caches, space and control.
+    fn engine_view(config: &FlowConfig) -> String {
+        format!(
+            "{:?}",
+            FlowConfig {
+                space: DesignSpace::paper(),
+                control: ExploreControl::default(),
+                cache: None,
+                profiles: None,
+                ..config.clone()
+            }
+        )
+    }
 
-        let cfg = session.flow_config(DesignSpace::paper(), ExploreControl::default());
-        let flow_defaults = FlowConfig::default();
-        assert_eq!(cfg.coverage, flow_defaults.coverage);
-        assert_eq!(cfg.geometries, flow_defaults.geometries);
-        assert_eq!(cfg.config_cache_depth, flow_defaults.config_cache_depth);
+    /// The same for engine options.
+    fn options_view(options: &ExploreOptions) -> String {
+        format!(
+            "{:?}",
+            ExploreOptions {
+                control: ExploreControl::default(),
+                cache: None,
+                profiles: None,
+                ..options.clone()
+            }
+        )
+    }
+
+    #[test]
+    fn session_and_flow_share_one_engine_mapping() {
+        // Defaults: the session's configuration is the engine's, field
+        // for field, with its caches attached.
+        let session = Session::builder().build();
+        let defaults = FlowConfig::default();
+        let cfg = session.flow_config(DesignSpace::deep(), ExploreControl::with_budget(7));
+        assert_eq!(engine_view(&cfg), engine_view(&defaults));
+        assert_eq!(
+            cfg.space.candidate_count(),
+            DesignSpace::deep().candidate_count()
+        );
+        assert_eq!(cfg.control.candidate_budget, Some(7));
+        assert!(cfg.cache.is_some() && cfg.profiles.is_some());
+        let opts = session.explore_options(ExploreControl::default());
+        assert_eq!(
+            options_view(&opts),
+            options_view(&defaults.explore_options(ExploreControl::default()))
+        );
+        assert!(Arc::ptr_eq(opts.cache.as_ref().unwrap(), &session.models));
+        assert!(Arc::ptr_eq(
+            opts.profiles.as_ref().unwrap(),
+            &session.profiles
+        ));
+
+        // The builder's settings reach every flow.
+        let constraints = Constraints {
+            enforce_cost_bound: false,
+            max_slowdown: 2.0,
+        };
+        let custom = Session::builder()
+            .coverage(1.0)
+            .geometries(vec![(4, 4), (8, 8)])
+            .constraints(constraints)
+            .build();
+        let cfg = custom.flow_config(DesignSpace::paper(), ExploreControl::default());
+        let expected = FlowConfig {
+            coverage: 1.0,
+            geometries: vec![(4, 4), (8, 8)],
+            constraints,
+            ..FlowConfig::default()
+        };
+        assert_eq!(engine_view(&cfg), engine_view(&expected));
+        assert_eq!(
+            custom
+                .explore_options(ExploreControl::default())
+                .constraints,
+            constraints
+        );
+
+        // `run_flow` and `Session::explore` hand the engine the same
+        // options: their explorations carry one engine fingerprint.
+        let apps = vec![AppProfile::new(
+            "session-test",
+            vec![(suite::fdct(), 99), (suite::sad(), 396)],
+        )];
+        for (session, config) in [(&session, defaults), (&custom, expected)] {
+            let flow = run_flow(&apps, &config).unwrap();
+            let kernels: Vec<Kernel> = flow
+                .critical_loops
+                .iter()
+                .map(|c| c.kernel.clone())
+                .collect();
+            let weights: Vec<f64> = flow.critical_loops.iter().map(|c| c.weight).collect();
+            let explored = session
+                .explore(
+                    &flow.base,
+                    &kernels,
+                    &weights,
+                    &config.space,
+                    ExploreControl::default(),
+                )
+                .unwrap();
+            assert_eq!(explored.fingerprint, flow.exploration.fingerprint);
+            assert_eq!(explored.stats, flow.exploration.stats);
+            assert_eq!(explored.pareto, flow.exploration.pareto);
+        }
     }
 
     #[test]

@@ -87,13 +87,18 @@ fn deep100_is_identical_across_synthesis_paths_and_thread_counts() {
         Objective::AreaDelayProduct,
     )
     .unwrap();
+    // Three synthesis paths: the models directly, a fresh cache per run,
+    // and one cache kept warm across every thread count. What a cache
+    // has seen never changes a prune decision, so all agree on stats.
+    let warm = Arc::new(ModelCache::new());
     let mut stats = Vec::new();
     for parallelism in [Some(1), Some(2), None] {
-        for shared in [false, true] {
-            // A fresh cache per run: a warm one answers the clock floor
-            // with a plan's exact clock, which moves cuts from the lower
-            // bound to the clock floor (results stay identical).
-            let cache = shared.then(|| Arc::new(ModelCache::new()));
+        for synth in ["direct", "fresh cache", "warm cache"] {
+            let cache = match synth {
+                "direct" => None,
+                "fresh cache" => Some(Arc::new(ModelCache::new())),
+                _ => Some(Arc::clone(&warm)),
+            };
             let engine = explore_with(
                 base,
                 kernels,
@@ -111,13 +116,14 @@ fn deep100_is_identical_across_synthesis_paths_and_thread_counts() {
             if let Some(cache) = cache {
                 assert!(cache.misses() > 0, "the shared cache served synthesis");
             }
-            stats.push((parallelism, shared, engine.stats));
+            stats.push((parallelism, synth, engine.stats));
         }
     }
+    assert!(warm.hits() > 0, "later runs reused the warm cache");
     let (_, _, first) = stats[0];
     assert!(first.candidates_pruned > 0 && first.clock_bound_cuts > 0);
-    for (parallelism, shared, s) in &stats {
-        let at = format!("parallelism {parallelism:?}, shared cache {shared}");
+    for (parallelism, synth, s) in &stats {
+        let at = format!("parallelism {parallelism:?}, {synth}");
         assert_eq!(s.candidates_seen, first.candidates_seen, "{at}");
         assert_eq!(s.candidates_pruned, first.candidates_pruned, "{at}");
         assert_eq!(s.clock_bound_cuts, first.clock_bound_cuts, "{at}");

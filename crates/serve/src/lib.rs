@@ -697,11 +697,7 @@ fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
                 }
                 profiles.push(AppProfile::new(&app.name, kernels));
             }
-            let mut config = session.flow_config(space_of(space), control_of(&limits));
-            if let Some(geometries) = geometries {
-                config.geometries = geometries;
-            }
-            match rsp_core::run_flow(&profiles, &config) {
+            match session.flow_with(&profiles, geometries, space_of(space), control_of(&limits)) {
                 Ok(report) => Response::Flowed(FlowReply {
                     base_pe_count: report.base.geometry().pe_count() as u64,
                     chosen: report.chosen.name().to_string(),

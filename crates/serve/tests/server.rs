@@ -117,9 +117,9 @@ fn concurrent_explores_are_bit_identical_and_share_the_cache() {
         stats.model_hits > 0,
         "expected synthesis-memo hits, got {stats:?}"
     );
-    // Misses are bounded by racing cold starts (4 workers × plans, and
-    // the area fast path counts separately); hits come from the seven
-    // warm requests sweeping every plan again, so reuse dominates.
+    // Misses are bounded by racing cold starts (at most 4 workers ×
+    // plans); hits come from the seven warm requests sweeping every plan
+    // again, so reuse dominates.
     assert!(
         stats.model_hits > stats.model_misses,
         "reuse should dominate: {stats:?}"
@@ -266,6 +266,32 @@ fn served_flow_matches_in_process_session_flow() {
         "a warm flow must not synthesize anything new"
     );
     assert!(warm.model_hits > cold.model_hits);
+    server.shutdown();
+}
+
+#[test]
+fn served_flow_counts_as_one_session_request() {
+    let server = Server::spawn(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let before = stats_of(&mut client);
+    let r = client
+        .call(Request::Flow(FlowRequest {
+            apps: vec![WorkloadApp {
+                name: "me".into(),
+                kernels: vec![(dfg(&suite::sad()), 1)],
+            }],
+            geometries: Some(vec![(8, 8)]),
+            space: SpaceSpec::Paper,
+            limits: Limits::none(),
+        }))
+        .unwrap();
+    assert!(matches!(r, Response::Flowed(_)), "got {r:?}");
+    let after = stats_of(&mut client);
+    assert_eq!(
+        after.requests,
+        before.requests + 1,
+        "a served flow is one session request"
+    );
     server.shutdown();
 }
 

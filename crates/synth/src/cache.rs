@@ -12,6 +12,10 @@
 //! hits, and even a hit — hashing the plan, locking, copying the report
 //! — costs more than the Table 1 models it replaces. The exploration
 //! engine therefore calls the models directly when no cache is passed.
+//! For the same reason the cache holds one map of full reports only:
+//! area-only queries and clock floors go to the models unless a full
+//! report already answers them, so what the cache has seen never
+//! changes a bound.
 
 use crate::area::{AreaModel, AreaReport};
 use crate::delay::{DelayModel, DelayReport};
@@ -35,16 +39,12 @@ pub struct ModelCache {
     delay: DelayModel,
     #[allow(clippy::type_complexity)]
     memo: Mutex<HashMap<(ArrayGeometry, SharingPlan), (AreaReport, DelayReport)>>,
-    /// Area-only memo for the fast path ([`ModelCache::area_report`]):
-    /// candidate-ordering passes need every plan's area before any plan's
-    /// delay, and must not pay for delay synthesis to get it.
-    area_memo: Mutex<HashMap<(ArrayGeometry, SharingPlan), AreaReport>>,
-    /// Memo hits across [`ModelCache::reports`] and
-    /// [`ModelCache::area_report`] — the observable proof that sharing
+    /// Queries answered from the memo ([`ModelCache::reports`] and
+    /// [`ModelCache::area_report`]) — the observable proof that sharing
     /// one cache across explorations (or server requests) actually
     /// avoids re-synthesis.
     hits: AtomicU64,
-    /// Queries those two paths answered by synthesizing (cache misses).
+    /// [`ModelCache::reports`] queries answered by synthesizing.
     misses: AtomicU64,
 }
 
@@ -59,10 +59,7 @@ impl ModelCache {
         Self {
             area,
             delay,
-            memo: Mutex::new(HashMap::new()),
-            area_memo: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            ..Self::default()
         }
     }
 
@@ -100,78 +97,42 @@ impl ModelCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Computed outside the lock: synthesis is the expensive part and
         // duplicate computation on a race is harmless (reports are pure).
-        // An area already synthesized through the fast path is promoted
-        // (removed, not copied) into the full memo — the full entry
-        // shadows the area memo on every read path, so keeping both
-        // would just duplicate the key for the cache's lifetime. The
-        // insert+remove happens under the full-memo lock (nesting order
-        // memo → area_memo, same as `area_report`'s publish) so a racing
-        // fast-path publish cannot resurrect the area entry afterwards.
-        let area_hit = self.area_memo.lock().unwrap().get(&key).copied();
-        let area = area_hit.unwrap_or_else(|| self.area.report(arch));
-        let reports = (area, self.delay.report(arch));
-        {
-            let mut memo = self.memo.lock().unwrap();
-            let mut area_memo = self.area_memo.lock().unwrap();
-            area_memo.remove(&key);
-            memo.insert(key, reports);
-        }
+        let reports = (self.area.report(arch), self.delay.report(arch));
+        self.memo.lock().unwrap().insert(key, reports);
         reports
     }
 
-    /// Area report only — the fast path for passes that need every
-    /// candidate's area before (or without) its delay, such as the
-    /// exploration engine's area-ordered candidate enumeration. Memoized
-    /// separately from [`ModelCache::reports`]; a later full query reuses
-    /// the area instead of re-synthesizing it.
+    /// Area report only, for passes that need every candidate's area
+    /// before (or without) its delay, such as the exploration engine's
+    /// area-ordered candidate enumeration. Served from the memo when a
+    /// full report exists; otherwise the area model answers directly and
+    /// nothing is memoized (the model is cheaper than a memo entry).
     pub fn area_report(&self, arch: &RspArchitecture) -> AreaReport {
         let key = (arch.geometry(), arch.plan().clone());
         if let Some(hit) = self.memo.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit.0;
         }
-        if let Some(hit) = self.area_memo.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *hit;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let report = self.area.report(arch);
-        // Publish under the same memo → area_memo nesting as `reports`'s
-        // promotion: if the full report landed while we synthesized, the
-        // area entry would only duplicate it, so skip the insert.
-        let memo = self.memo.lock().unwrap();
-        if !memo.contains_key(&key) {
-            self.area_memo.lock().unwrap().insert(key, report);
-        }
-        report
+        self.area.report(arch)
     }
 
-    /// Admissible lower bound on `arch`'s clock period — the clock-bound
-    /// fast path. A plan already holding a full report answers with its
-    /// *exact* synthesized clock (the tightest admissible bound there
-    /// is); otherwise the structural
-    /// [`DelayModel::clock_floor_ns`] floor is computed from the sharing
-    /// plan alone, without triggering delay synthesis. Exploration
+    /// Admissible lower bound on `arch`'s clock period: the structural
+    /// [`DelayModel::clock_floor_ns`], computed from the sharing plan
+    /// alone without delay synthesis or a memo lookup. Exploration
     /// engines call this before [`ModelCache::reports`] so candidates
     /// whose clock floor already proves them infeasible never pay for
-    /// synthesis.
+    /// synthesis. The floor never depends on what the cache has seen, so
+    /// prune decisions are the same for a cold and a warm cache.
     pub fn clock_floor(&self, arch: &RspArchitecture) -> f64 {
-        let key = (arch.geometry(), arch.plan().clone());
-        if let Some(hit) = self.memo.lock().unwrap().get(&key) {
-            return hit.1.clock_ns;
-        }
         self.delay.clock_floor_ns(arch.plan())
     }
 
-    /// Number of distinct plans with *full* (area + delay) reports so
-    /// far. Plans touched only through the [`ModelCache::area_report`]
-    /// fast path are not counted until a full query promotes them.
+    /// Number of distinct plans with reports so far.
     pub fn len(&self) -> usize {
         self.memo.lock().unwrap().len()
     }
 
-    /// Whether no full report has been computed yet (see
-    /// [`ModelCache::len`] — area-only entries are not counted).
+    /// Whether no report has been computed yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -185,8 +146,10 @@ impl ModelCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Queries answered by synthesizing (approximately one per distinct
-    /// plan; a benign race may synthesize a plan twice).
+    /// [`ModelCache::reports`] queries answered by synthesizing
+    /// (approximately one per distinct plan; a benign race may
+    /// synthesize a plan twice). Area-only queries the model answers
+    /// directly are not counted.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -221,19 +184,25 @@ mod tests {
     fn area_fast_path_matches_full_reports() {
         let cache = ModelCache::new();
         for arch in presets::table_architectures() {
-            // Fast path first, full query second: the area must agree and
-            // be served from the area memo, never re-synthesized.
+            // Before a full report exists the area model answers
+            // directly, and nothing is memoized.
             let fast = cache.area_report(&arch);
             assert_eq!(fast, AreaModel::new().report(&arch));
+            assert!(cache.is_empty());
+            assert_eq!(cache.hits(), 0);
+        }
+        for arch in presets::table_architectures() {
             let (full, _) = cache.reports(&arch);
-            assert_eq!(fast, full);
+            assert_eq!(full, AreaModel::new().report(&arch));
             // Once the full report exists, the fast path reads it.
+            let hits = cache.hits();
             assert_eq!(cache.area_report(&arch), full);
+            assert_eq!(cache.hits(), hits + 1);
         }
     }
 
     #[test]
-    fn clock_floor_is_admissible_and_tightens_after_synthesis() {
+    fn clock_floor_is_admissible() {
         let cache = ModelCache::new();
         for arch in presets::table_architectures() {
             let floor = cache.clock_floor(&arch);
@@ -245,8 +214,8 @@ mod tests {
                 floor,
                 delay.clock_ns
             );
-            // Once synthesized, the fast path serves the exact clock.
-            assert_eq!(cache.clock_floor(&arch), delay.clock_ns);
+            // The floor is structural: a synthesized plan keeps it.
+            assert_eq!(cache.clock_floor(&arch).to_bits(), floor.to_bits());
         }
     }
 
@@ -259,11 +228,12 @@ mod tests {
         cache.reports(&presets::rsp2());
         cache.area_report(&presets::rsp2());
         assert_eq!((cache.hits(), cache.misses()), (2, 1));
-        // The area fast path is one miss, and the full query it feeds is
-        // counted as a miss too (delay still had to be synthesized).
+        // An area-only query for an unseen plan goes to the model and
+        // counts as neither; the full query that follows is the miss.
         cache.area_report(&presets::rs1());
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
         cache.reports(&presets::rs1());
-        assert_eq!((cache.hits(), cache.misses()), (2, 3));
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run --example design_space_exploration
 //! ```
 
-use rsp::core::{AppProfile, DesignSpace, Objective};
+use rsp::core::{AppProfile, DesignSpace};
 use rsp::kernel::suite;
 use rsp::Session;
 
@@ -32,11 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
 
-    // A session assembles the flow configuration (and would share its
-    // caches across further requests — see the `serve` module).
-    let session = Session::builder()
-        .objective(Objective::AreaDelayProduct)
-        .build();
+    // A session carries the flow configuration (engine defaults: the
+    // area-delay-product objective) and would share its caches across
+    // further requests — see the `serve` module.
+    let session = Session::builder().build();
 
     // stages 1..4, shr/shc 0..3
     let report = session.flow(&apps, DesignSpace::extended(), Default::default())?;
