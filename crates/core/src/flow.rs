@@ -74,7 +74,7 @@ use crate::rearrange::{RearrangeOptions, RearrangeSkeleton, Rearranged};
 use rayon::prelude::*;
 use rsp_arch::{ArrayGeometry, BaseArchitecture, BusSpec, PeDesign, RspArchitecture, SharingPlan};
 use rsp_kernel::Kernel;
-use rsp_mapper::{map, ConfigContext, MapOptions};
+use rsp_mapper::{cycle_floor, map, ConfigContext, MapOptions};
 use rsp_obs::{Recorder, Span, Value};
 use rsp_synth::{AreaModel, DelayModel, ModelCache};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -324,7 +324,9 @@ impl FlowReport {
 
 /// Attempts one candidate geometry: builds the base array and maps every
 /// critical loop onto it. `None` when any loop fails to map (the
-/// geometry is infeasible for this workload).
+/// geometry is infeasible for this workload) — without mapping any loop
+/// when some loop's [`cycle_floor`] already overflows the
+/// configuration cache.
 fn map_geometry(
     rows: usize,
     cols: usize,
@@ -332,6 +334,12 @@ fn map_geometry(
     loops: &[CriticalLoop],
 ) -> Option<(BaseArchitecture, Vec<ConfigContext>)> {
     let base = config.base(rows, cols);
+    if loops
+        .iter()
+        .any(|cl| cycle_floor(&cl.kernel, base.geometry()) > base.config_cache_depth())
+    {
+        return None;
+    }
     let mapped: Result<Vec<_>, _> = loops
         .iter()
         .map(|cl| map(&base, &cl.kernel, &config.map_options))

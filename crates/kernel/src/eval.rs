@@ -28,7 +28,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsp_arch::OpKind;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The contents of data memory: one `Vec<i32>` per declared array.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -194,11 +193,15 @@ pub fn evaluate(
     bindings: &Bindings,
 ) -> Result<MemoryImage, KernelError> {
     let mut out = input.clone();
+    // Value buffers reused across steps and elements: `vals` receives
+    // the current step, `prev` holds the step before it.
+    let mut vals: Vec<i32> = Vec::with_capacity(kernel.body().len());
+    let mut prev: Vec<i32> = Vec::with_capacity(kernel.body().len());
+    let mut pair_vals: Vec<i32> = Vec::with_capacity(kernel.body().len());
     for e in 0..kernel.elements() {
-        let mut prev: HashMap<u32, i32> = HashMap::new();
-        let mut last = Vec::new();
         for s in 0..kernel.steps() {
-            last = eval_dfg(
+            std::mem::swap(&mut vals, &mut prev);
+            eval_dfg(
                 kernel.body(),
                 kernel,
                 input,
@@ -206,16 +209,14 @@ pub fn evaluate(
                 bindings,
                 e,
                 s,
-                &prev,
+                (s > 0).then_some(prev.as_slice()),
                 &[],
+                &mut vals,
+                &mut pair_vals,
             )?;
-            prev = last
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (i as u32, v))
-                .collect();
         }
         if let Some(tail) = kernel.tail() {
+            std::mem::swap(&mut vals, &mut prev);
             eval_dfg(
                 tail,
                 kernel,
@@ -224,14 +225,19 @@ pub fn evaluate(
                 bindings,
                 e,
                 kernel.steps() - 1,
-                &HashMap::new(),
-                &last,
+                None,
+                &prev,
+                &mut vals,
+                &mut pair_vals,
             )?;
         }
     }
     Ok(out)
 }
 
+/// Evaluates one step of `dfg` into `vals` (and the second words of
+/// paired loads into `pair_vals`). `prev_step` holds the previous step's
+/// values, `None` at step 0, where accumulators read their `init`.
 #[allow(clippy::too_many_arguments)]
 fn eval_dfg(
     dfg: &Dfg,
@@ -241,20 +247,25 @@ fn eval_dfg(
     bindings: &Bindings,
     e: usize,
     s: usize,
-    prev_step: &HashMap<u32, i32>,
+    prev_step: Option<&[i32]>,
     carries: &[i32],
-) -> Result<Vec<i32>, KernelError> {
+    vals: &mut Vec<i32>,
+    pair_vals: &mut Vec<i32>,
+) -> Result<(), KernelError> {
     let d = kernel.elem_divisor();
-    let mut vals: Vec<i32> = Vec::with_capacity(dfg.len());
-    let mut pair_vals: Vec<i32> = Vec::with_capacity(dfg.len());
+    vals.clear();
+    pair_vals.clear();
     for (id, n) in dfg.iter() {
-        let read = |o: &Operand, vals: &Vec<i32>| -> i32 {
+        let read = |o: &Operand, vals: &[i32]| -> i32 {
             match *o {
                 Operand::Node(p) => vals[p.index()],
                 Operand::Pair(p) => pair_vals[p.index()],
                 Operand::Const(c) => c,
                 Operand::Param(p) => bindings.get(p.index()),
-                Operand::Accum { node, init } => prev_step.get(&(node.0)).copied().unwrap_or(init),
+                Operand::Accum { node, init } => prev_step
+                    .and_then(|prev| prev.get(node.index()))
+                    .copied()
+                    .unwrap_or(init),
                 Operand::Carry(c) => carries[c.index()],
             }
         };
@@ -270,13 +281,13 @@ fn eval_dfg(
             }
             OpKind::Store => {
                 let a = n.addr().expect("validated store has addr");
-                let v = read(&n.operands()[0], &vals);
+                let v = read(&n.operands()[0], vals);
                 out.write(a.array.index(), a.eval(e, s, d) as usize, v);
                 (v, 0)
             }
             op => {
-                let a = n.operands().first().map(|o| read(o, &vals)).unwrap_or(0);
-                let b = n.operands().get(1).map(|o| read(o, &vals)).unwrap_or(0);
+                let a = n.operands().first().map(|o| read(o, vals)).unwrap_or(0);
+                let b = n.operands().get(1).map(|o| read(o, vals)).unwrap_or(0);
                 (apply_op(op, a, b), 0)
             }
         };
@@ -284,7 +295,7 @@ fn eval_dfg(
         vals.push(v);
         pair_vals.push(pv);
     }
-    Ok(vals)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 use crate::build::build_instances;
 use crate::context::ConfigContext;
 use crate::error::MapError;
+use crate::mapper::fits_cache;
 use rsp_arch::{BaseArchitecture, OpKind, PeId};
 use rsp_kernel::{Kernel, MappingStyle};
 
@@ -41,6 +42,14 @@ pub(crate) fn map_dataflow(
     let geom = base.geometry();
     let (rows, cols) = (geom.rows(), geom.cols());
     let sched = schedule_row(kernel, cols, base)?;
+    // Every element runs every node, so the schedule length is known
+    // before any instance exists (see the cycle formula below).
+    let latest_start = (0..kernel.elements())
+        .map(|e| (e / rows) as u32 * sched.ii + (e % rows) as u32 % sched.ii)
+        .max();
+    if let (Some(start), Some(&time)) = (latest_start, sched.time_of.iter().max()) {
+        fits_cache(base, start + time + 1)?;
+    }
 
     let place = |e: usize, _s: usize, n: usize, _tail: bool| -> PeId {
         PeId::new(e % rows, sched.col_of[n])

@@ -64,7 +64,7 @@ pub use context::{
 };
 pub use encode::{encode_context, ConfigImage, ConfigWord, EncodeError};
 pub use error::{MapError, ScheduleViolation};
-pub use mapper::{map, MapOptions};
+pub use mapper::{cycle_floor, map, MapOptions};
 pub use refill::{
     encode_segments, min_splittable_depth, refill_cycles_for_depth, split_schedule, RefillPlan,
     RefillSegment, SplitError, CONFIG_WORD_BYTES, REFILL_BYTES_PER_CYCLE,

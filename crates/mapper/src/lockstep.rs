@@ -12,7 +12,8 @@
 
 use crate::build::{build_instances, IdLayout};
 use crate::context::ConfigContext;
-use crate::mapper::MapOptions;
+use crate::error::MapError;
+use crate::mapper::{fits_cache, MapOptions};
 use rsp_arch::{BaseArchitecture, PeId};
 use rsp_kernel::Kernel;
 
@@ -20,7 +21,7 @@ pub(crate) fn map_lockstep(
     base: &BaseArchitecture,
     kernel: &Kernel,
     opts: &MapOptions,
-) -> ConfigContext {
+) -> Result<ConfigContext, MapError> {
     let geom = base.geometry();
     let (rows, cols) = (geom.rows(), geom.cols());
     let layout = IdLayout::of(kernel);
@@ -39,6 +40,11 @@ pub(crate) fn map_lockstep(
 
     if opts.strict_buses {
         adjust_starts_for_buses(kernel, base, &mut starts, rows, cols, busy);
+    }
+    // Every group runs all `busy` offsets, so the last start fixes the
+    // schedule length before any instance exists.
+    if busy > 0 {
+        fits_cache(base, starts.iter().max().map_or(0, |&s| s + busy))?;
     }
 
     let place = |e: usize, _s: usize, _n: usize, _tail: bool| -> PeId {
@@ -59,7 +65,7 @@ pub(crate) fn map_lockstep(
         cycles[inst.id.index()] = starts[g] + offset;
     }
 
-    ConfigContext::new(
+    Ok(ConfigContext::new(
         kernel.name().to_string(),
         geom,
         base.buses(),
@@ -67,7 +73,7 @@ pub(crate) fn map_lockstep(
         body_len as u32,
         instances,
         cycles,
-    )
+    ))
 }
 
 /// Greedy start adjustment: delay each group until its loads/stores fit

@@ -4,7 +4,7 @@ use crate::context::ConfigContext;
 use crate::dataflow::map_dataflow;
 use crate::error::MapError;
 use crate::lockstep::map_lockstep;
-use rsp_arch::BaseArchitecture;
+use rsp_arch::{ArrayGeometry, BaseArchitecture};
 use rsp_kernel::{Kernel, MappingStyle};
 
 /// Mapper options.
@@ -60,17 +60,47 @@ pub fn map(
 
     let style = opts.style.unwrap_or(kernel.style());
     let ctx = match style {
-        MappingStyle::Lockstep => map_lockstep(base, kernel, opts),
+        MappingStyle::Lockstep => map_lockstep(base, kernel, opts)?,
         MappingStyle::Dataflow => map_dataflow(base, kernel)?,
     };
 
-    let needed = ctx.total_cycles();
+    // Both styles checked the cache against the schedule length before
+    // building the instance graph.
+    debug_assert!(fits_cache(base, ctx.total_cycles()).is_ok());
+    debug_assert!(crate::validate::validate_base_schedule(&ctx).is_ok());
+    Ok(ctx)
+}
+
+/// Checks a schedule of `needed` cycles against the configuration cache.
+/// Both mapping styles know their schedule length before they build the
+/// instance graph and call this first, so an overflowing kernel fails
+/// without paying for the graph.
+pub(crate) fn fits_cache(base: &BaseArchitecture, needed: u32) -> Result<(), MapError> {
     let available = base.config_cache_depth() as u32;
     if needed > available {
         return Err(MapError::ConfigCacheExceeded { needed, available });
     }
-    debug_assert!(crate::validate::validate_base_schedule(&ctx).is_ok());
-    Ok(ctx)
+    Ok(())
+}
+
+/// Fewest cycles any schedule of `kernel` can take on a `geometry`
+/// array: a PE issues at most one operation per cycle, so every context
+/// [`map`] accepts has at least this many `total_cycles`. A geometry
+/// whose floor exceeds the configuration cache depth can be rejected
+/// without building a schedule.
+///
+/// # Examples
+///
+/// ```
+/// use rsp_arch::ArrayGeometry;
+/// use rsp_kernel::suite;
+/// use rsp_mapper::cycle_floor;
+///
+/// let k = suite::fdct();
+/// assert_eq!(cycle_floor(&k, ArrayGeometry::new(8, 8)), k.total_ops().div_ceil(64));
+/// ```
+pub fn cycle_floor(kernel: &Kernel, geometry: ArrayGeometry) -> usize {
+    kernel.total_ops().div_ceil(geometry.pe_count())
 }
 
 #[cfg(test)]

@@ -16,6 +16,27 @@
 //! reference evaluator's ([`rsp_kernel::evaluate`]) for every legal
 //! schedule — the strongest functional oracle in this reproduction.
 //!
+//! # Dense occupancy
+//!
+//! [`simulate`] issues operations in non-decreasing cycle order (a
+//! counting sort when the cycle span is within a small multiple of the
+//! operation count, a stable comparison sort otherwise, so a far-out
+//! cycle costs no per-cycle table). Because cycles never decrease, the
+//! hardware state needs no per-cycle sets: each PE and each shared
+//! resource keeps the cycle of its last issue (equal to the current
+//! cycle means a conflict), each resource keeps the completion cycles of
+//! the issues still in its pipeline (at most `stages` of them), and each
+//! row keeps a `(cycle, words)` counter per bus direction — the row-bus
+//! bandwidth is a per-cycle budget. Operation latencies and sharing come
+//! from one per-call table. Contexts whose PEs or resource indices span
+//! an absurd range (only hand-built inputs do) run on the reference
+//! engine instead.
+//!
+//! The original `HashMap`-driven engine stays as `simulate_reference`
+//! (with `simulate_split_reference`), hidden from the docs: the oracle
+//! the dense engine must match exactly — reports, traces and the first
+//! [`SimError`] with its fields.
+//!
 //! # Configuration-cache refill
 //!
 //! Schedules deeper than the per-PE configuration cache arrive split
@@ -64,6 +85,7 @@ mod trace;
 
 pub use error::SimError;
 pub use sim::{
-    simulate, simulate_base, simulate_rearranged, simulate_split, SimOptions, SimReport,
+    simulate, simulate_base, simulate_rearranged, simulate_reference, simulate_split,
+    simulate_split_reference, SimOptions, SimReport,
 };
 pub use trace::{Trace, TraceEvent};

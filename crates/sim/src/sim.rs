@@ -2,7 +2,7 @@
 
 use crate::error::SimError;
 use crate::trace::{Trace, TraceEvent};
-use rsp_arch::{OpKind, RspArchitecture, SharedResourceId};
+use rsp_arch::{FuKind, OpKind, RspArchitecture, SharedResourceId};
 use rsp_core::Rearranged;
 use rsp_kernel::{apply_op, Bindings, Kernel, MemoryImage};
 use rsp_mapper::{ConfigContext, RefillPlan, SrcOperand};
@@ -44,7 +44,25 @@ pub struct SimReport {
     pub trace: Option<Trace>,
 }
 
+/// Entry limit of each dense occupancy table: a context whose PE box,
+/// or whose shared-resource index space times pipeline depth, needs more
+/// (only hand-built inputs do) runs on [`simulate_reference`] instead.
+const DENSE_LIMIT: usize = 1 << 20;
+
+/// "Never stamped" marker of the dense occupancy stamps (a real issue
+/// cycle is a `u32`).
+const UNSTAMPED: u64 = u64::MAX;
+
 /// Simulates an arbitrary `(schedule, bindings)` pair for `ctx` on `arch`.
+///
+/// Operations issue in non-decreasing cycle order, ties broken by
+/// instance index, and every rule is checked per issue in a fixed order
+/// (PE, operands, shared resource, buses), so the first violation is
+/// the same [`SimError`] value whatever engine finds it. Occupancy is
+/// dense: a last-issue cycle stamp per PE and per shared resource, the
+/// window of still-in-flight issues per resource, and `(cycle, words)`
+/// counters per row bus. Because issue cycles never decrease, a stamp
+/// equal to the current cycle is exactly a same-cycle conflict.
 ///
 /// # Errors
 ///
@@ -52,6 +70,310 @@ pub struct SimReport {
 /// returned.
 #[allow(clippy::too_many_arguments)] // the full hardware state is the point
 pub fn simulate(
+    ctx: &ConfigContext,
+    arch: &RspArchitecture,
+    schedule: &[u32],
+    bindings: &[Option<SharedResourceId>],
+    kernel: &Kernel,
+    input: &MemoryImage,
+    params: &Bindings,
+    opts: &SimOptions,
+) -> Result<SimReport, SimError> {
+    let insts = ctx.instances();
+    let n = insts.len();
+    if schedule.len() != n || bindings.len() != n {
+        return Err(SimError::ShapeMismatch {
+            expected: n,
+            actual: schedule.len().min(bindings.len()),
+        });
+    }
+    debug_assert_eq!(kernel.total_ops(), n);
+
+    let mut op_latency = [0u32; OpKind::ALL.len()];
+    let mut op_shared = [false; OpKind::ALL.len()];
+    for op in OpKind::ALL {
+        op_latency[op as usize] = u32::from(arch.op_latency(op));
+        op_shared[op as usize] = arch.op_is_shared(op);
+    }
+    let latency: Vec<u32> = insts.iter().map(|i| op_latency[i.op as usize]).collect();
+
+    // Dense index spaces: the box of PEs the context names, and every
+    // (kind, row/column, line, bank index) a shared binding can name once
+    // it reaches its PE (the line is then inside the box).
+    let rows = insts
+        .iter()
+        .map(|i| i.pe.row.saturating_add(1))
+        .max()
+        .unwrap_or(0);
+    let cols = insts
+        .iter()
+        .map(|i| i.pe.col.saturating_add(1))
+        .max()
+        .unwrap_or(0);
+    let lines = rows.max(cols);
+    let banks = insts
+        .iter()
+        .zip(bindings)
+        .filter(|(i, _)| op_shared[i.op as usize])
+        .filter_map(|(_, b)| b.map(|r| bank_index(r).saturating_add(1)))
+        .max()
+        .unwrap_or(0);
+    let resources = (FuKind::ALL.len() * 2)
+        .checked_mul(lines)
+        .and_then(|r| r.checked_mul(banks));
+    // A resource holds at most `stages` issues in flight: its issue
+    // cycles are distinct and each stays in flight `stages` cycles.
+    let window = insts
+        .iter()
+        .filter(|i| op_shared[i.op as usize])
+        .map(|i| op_latency[i.op as usize] as usize)
+        .max()
+        .unwrap_or(0);
+    let fits = |size: Option<usize>| size.is_some_and(|s| s <= DENSE_LIMIT);
+    if !fits(rows.checked_mul(cols)) || !fits(resources.and_then(|r| r.checked_mul(window.max(1))))
+    {
+        return simulate_reference(ctx, arch, schedule, bindings, kernel, input, params, opts);
+    }
+    let resources = resources.unwrap_or(0);
+    let resource_slot = |r: SharedResourceId| -> usize {
+        let (axis, line) = match r {
+            SharedResourceId::Row { row, .. } => (0, row),
+            SharedResourceId::Col { col, .. } => (1, col),
+        };
+        ((r.kind() as usize * 2 + axis) * lines + line) * banks + bank_index(r)
+    };
+
+    let order = issue_order(schedule);
+
+    let mut memory = input.clone();
+    let mut values: Vec<i32> = vec![0; n];
+    let mut pair_values: Vec<i32> = vec![0; n];
+
+    let mut pe_issue = vec![UNSTAMPED; rows * cols];
+    let mut res_issue = vec![UNSTAMPED; resources];
+    let mut in_flight_ends = vec![0u64; resources * window];
+    let mut in_flight = vec![0usize; resources];
+    let bus_rows = if opts.check_buses { rows } else { 0 };
+    let mut bus_read = vec![(UNSTAMPED, 0usize); bus_rows];
+    let mut bus_write = vec![(UNSTAMPED, 0usize); bus_rows];
+
+    let mut shared_issues = 0usize;
+    let mut max_in_flight = 0usize;
+    let mut events: Vec<TraceEvent> = Vec::new();
+
+    for &i in &order {
+        let i = i as usize;
+        let inst = &insts[i];
+        let t = schedule[i];
+        let stamp = u64::from(t);
+
+        // One operation per PE per cycle.
+        let pe = &mut pe_issue[inst.pe.row * cols + inst.pe.col];
+        if *pe == stamp {
+            return Err(SimError::PeConflict {
+                pe: inst.pe,
+                cycle: t,
+            });
+        }
+        *pe = stamp;
+
+        // Operand readiness and interconnect reachability.
+        for &p in &inst.preds {
+            let ready = schedule[p.index()] + latency[p.index()];
+            if ready > t {
+                return Err(SimError::OperandNotReady {
+                    consumer: i,
+                    producer: p.index(),
+                    cycle: t,
+                });
+            }
+            let from = insts[p.index()].pe;
+            if !arch.can_route(from, inst.pe) {
+                return Err(SimError::UnroutableDependence { from, to: inst.pe });
+            }
+        }
+
+        // Shared-resource discipline.
+        if op_shared[inst.op as usize] {
+            let res = bindings[i].ok_or(SimError::UnboundSharedOp { instance: i })?;
+            if !res.reaches(inst.pe) {
+                return Err(SimError::UnreachableResource {
+                    instance: i,
+                    resource: res,
+                });
+            }
+            let slot = resource_slot(res);
+            if res_issue[slot] == stamp {
+                return Err(SimError::SharedIssueConflict {
+                    resource: res,
+                    cycle: t,
+                });
+            }
+            res_issue[slot] = stamp;
+            shared_issues += 1;
+            // Retire the issues that left the pipeline by `t`, then admit
+            // this one; the window then holds cycle `t`'s load. A
+            // resource's load only rises at an issue, so its peak is the
+            // load at some issue cycle.
+            let ends = &mut in_flight_ends[slot * window..(slot + 1) * window];
+            let mut live = 0;
+            for k in 0..in_flight[slot] {
+                if ends[k] > stamp {
+                    ends[live] = ends[k];
+                    live += 1;
+                }
+            }
+            if latency[i] > 0 {
+                ends[live] = stamp + u64::from(latency[i]);
+                live += 1;
+                max_in_flight = max_in_flight.max(live);
+            }
+            in_flight[slot] = live;
+        }
+
+        // Bus capacities.
+        if opts.check_buses {
+            let row = inst.pe.row;
+            let words = inst.bus_read_words();
+            if words > 0 {
+                let used = bus_count(&mut bus_read[row], stamp, words);
+                if used > ctx.buses().read_buses() {
+                    return Err(SimError::BusOverflow {
+                        row,
+                        cycle: t,
+                        words: used,
+                        capacity: ctx.buses().read_buses(),
+                    });
+                }
+            }
+            if inst.is_store() {
+                let used = bus_count(&mut bus_write[row], stamp, 1);
+                if used > ctx.buses().write_buses() {
+                    return Err(SimError::BusOverflow {
+                        row,
+                        cycle: t,
+                        words: used,
+                        capacity: ctx.buses().write_buses(),
+                    });
+                }
+            }
+        }
+
+        // Execute.
+        let read = |o: &SrcOperand| -> i32 {
+            match *o {
+                SrcOperand::Inst(p) => values[p.index()],
+                SrcOperand::PairOf(p) => pair_values[p.index()],
+                SrcOperand::Const(c) => c,
+                SrcOperand::Param(p) => params.get(p as usize),
+            }
+        };
+        match inst.op {
+            OpKind::Load => {
+                let a = &inst.loads[0];
+                values[i] = input.read(a.array as usize, a.addr as usize);
+                if let Some(a2) = inst.loads.get(1) {
+                    pair_values[i] = input.read(a2.array as usize, a2.addr as usize);
+                }
+            }
+            OpKind::Store => {
+                let v = read(&inst.operands[0]);
+                let a = inst.store.expect("store instance has address");
+                memory.write(a.array as usize, a.addr as usize, v);
+                values[i] = v;
+            }
+            op => {
+                let a = inst.operands.first().map(&read).unwrap_or(0);
+                let b = inst.operands.get(1).map(&read).unwrap_or(0);
+                values[i] = apply_op(op, a, b);
+            }
+        }
+
+        if opts.record_trace {
+            events.push(TraceEvent {
+                cycle: t,
+                pe: inst.pe,
+                instance: i as u32,
+                op: inst.op,
+                value: values[i],
+                resource: bindings[i],
+                latency: op_latency[inst.op as usize] as u8,
+            });
+        }
+    }
+
+    // Total cycles include the drain of the last operation's pipeline.
+    let cycles = (0..n).map(|i| schedule[i] + latency[i]).max().unwrap_or(0);
+
+    Ok(SimReport {
+        cycles,
+        refill_stalls: 0,
+        memory,
+        ops_executed: n,
+        shared_issues,
+        max_in_flight,
+        trace: opts.record_trace.then(|| Trace::new(events, cycles + 1)),
+    })
+}
+
+/// Position of a shared resource within its row or column bank.
+fn bank_index(r: SharedResourceId) -> usize {
+    match r {
+        SharedResourceId::Row { index, .. } | SharedResourceId::Col { index, .. } => index,
+    }
+}
+
+/// Adds `words` to a row bus's `(cycle, words)` counter at cycle
+/// `stamp`, restarting it when the cycle moved on; returns the new load.
+fn bus_count(counter: &mut (u64, usize), stamp: u64, words: usize) -> usize {
+    if counter.0 != stamp {
+        *counter = (stamp, 0);
+    }
+    counter.1 += words;
+    counter.1
+}
+
+/// Instance indices in non-decreasing cycle order, ties by index. A
+/// counting sort when the cycle span is within a small multiple of the
+/// instance count; the stable comparison sort otherwise, so a hostile
+/// schedule with a cycle near `u32::MAX` allocates nothing per cycle.
+fn issue_order(schedule: &[u32]) -> Vec<u32> {
+    let n = schedule.len();
+    let (Some(&lo), Some(&hi)) = (schedule.iter().min(), schedule.iter().max()) else {
+        return Vec::new();
+    };
+    let span = (hi - lo) as usize + 1;
+    if span > 4 * n + 64 {
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&i| schedule[i as usize]);
+        return order;
+    }
+    let mut start = vec![0u32; span + 1];
+    for &c in schedule {
+        start[(c - lo) as usize + 1] += 1;
+    }
+    for k in 1..=span {
+        start[k] += start[k - 1];
+    }
+    let mut order = vec![0u32; n];
+    for (i, &c) in schedule.iter().enumerate() {
+        let next = &mut start[(c - lo) as usize];
+        order[*next as usize] = i as u32;
+        *next += 1;
+    }
+    order
+}
+
+/// The original `HashMap`-driven engine, kept as the oracle the dense
+/// [`simulate`] is property-tested against (the same `Result`, errors
+/// and trace included).
+///
+/// # Errors
+///
+/// See [`simulate`].
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)] // the full hardware state is the point
+pub fn simulate_reference(
     ctx: &ConfigContext,
     arch: &RspArchitecture,
     schedule: &[u32],
@@ -258,6 +580,69 @@ pub fn simulate_split(
     params: &Bindings,
     opts: &SimOptions,
 ) -> Result<SimReport, SimError> {
+    split_with(
+        simulate, ctx, arch, schedule, bindings, plan, kernel, input, params, opts,
+    )
+}
+
+/// [`simulate_split`] on the [`simulate_reference`] engine: the oracle
+/// for split schedules.
+///
+/// # Errors
+///
+/// See [`simulate_split`].
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)] // the full hardware state is the point
+pub fn simulate_split_reference(
+    ctx: &ConfigContext,
+    arch: &RspArchitecture,
+    schedule: &[u32],
+    bindings: &[Option<SharedResourceId>],
+    plan: &RefillPlan,
+    kernel: &Kernel,
+    input: &MemoryImage,
+    params: &Bindings,
+    opts: &SimOptions,
+) -> Result<SimReport, SimError> {
+    split_with(
+        simulate_reference,
+        ctx,
+        arch,
+        schedule,
+        bindings,
+        plan,
+        kernel,
+        input,
+        params,
+        opts,
+    )
+}
+
+/// A simulation engine: [`simulate`] or [`simulate_reference`].
+type Engine = fn(
+    &ConfigContext,
+    &RspArchitecture,
+    &[u32],
+    &[Option<SharedResourceId>],
+    &Kernel,
+    &MemoryImage,
+    &Bindings,
+    &SimOptions,
+) -> Result<SimReport, SimError>;
+
+#[allow(clippy::too_many_arguments)] // the full hardware state is the point
+fn split_with(
+    engine: Engine,
+    ctx: &ConfigContext,
+    arch: &RspArchitecture,
+    schedule: &[u32],
+    bindings: &[Option<SharedResourceId>],
+    plan: &RefillPlan,
+    kernel: &Kernel,
+    input: &MemoryImage,
+    params: &Bindings,
+    opts: &SimOptions,
+) -> Result<SimReport, SimError> {
     if schedule.len() != ctx.instances().len() {
         return Err(SimError::ShapeMismatch {
             expected: ctx.instances().len(),
@@ -277,7 +662,7 @@ pub fn simulate_split(
         });
     }
     let stalled = plan.stalled_schedule(schedule);
-    let mut report = simulate(ctx, arch, &stalled, bindings, kernel, input, params, opts)?;
+    let mut report = engine(ctx, arch, &stalled, bindings, kernel, input, params, opts)?;
     report.refill_stalls = plan.total_refill_cycles();
     if let Some(trace) = &mut report.trace {
         trace.set_refill_windows(plan.stall_windows());
@@ -354,6 +739,16 @@ mod tests {
         (ctx, img, params)
     }
 
+    /// Runs a simulation on both engines, asserts they return the same
+    /// `Result` and hands back the dense engine's.
+    fn on_both_engines(
+        run: impl Fn(Engine) -> Result<SimReport, SimError>,
+    ) -> Result<SimReport, SimError> {
+        let dense = run(simulate);
+        assert_eq!(dense, run(simulate_reference));
+        dense
+    }
+
     #[test]
     fn base_simulation_matches_reference_for_all_kernels() {
         for k in suite::all() {
@@ -413,16 +808,18 @@ mod tests {
             .id
             .index();
         bad[victim] = r.cycles[ctx.instances()[victim].preds[0].index()];
-        let err = simulate(
-            &ctx,
-            &arch,
-            &bad,
-            &r.bindings,
-            &k,
-            &img,
-            &params,
-            &Default::default(),
-        )
+        let err = on_both_engines(|sim| {
+            sim(
+                &ctx,
+                &arch,
+                &bad,
+                &r.bindings,
+                &k,
+                &img,
+                &params,
+                &Default::default(),
+            )
+        })
         .unwrap_err();
         assert!(matches!(
             err,
@@ -437,16 +834,18 @@ mod tests {
         let arch = presets::rs1();
         let r = rearrange(&ctx, &arch, &Default::default()).unwrap();
         let no_bindings = vec![None; ctx.instances().len()];
-        let err = simulate(
-            &ctx,
-            &arch,
-            &r.cycles,
-            &no_bindings,
-            &k,
-            &img,
-            &params,
-            &Default::default(),
-        )
+        let err = on_both_engines(|sim| {
+            sim(
+                &ctx,
+                &arch,
+                &r.cycles,
+                &no_bindings,
+                &k,
+                &img,
+                &params,
+                &Default::default(),
+            )
+        })
         .unwrap_err();
         assert!(matches!(err, SimError::UnboundSharedOp { .. }));
     }
@@ -470,16 +869,18 @@ mod tests {
             row: (inst.pe.row + 1) % 8,
             index: 0,
         });
-        let err = simulate(
-            &ctx,
-            &arch,
-            &r.cycles,
-            &bad,
-            &k,
-            &img,
-            &params,
-            &Default::default(),
-        )
+        let err = on_both_engines(|sim| {
+            sim(
+                &ctx,
+                &arch,
+                &r.cycles,
+                &bad,
+                &k,
+                &img,
+                &params,
+                &Default::default(),
+            )
+        })
         .unwrap_err();
         assert!(matches!(err, SimError::UnreachableResource { .. }));
     }
@@ -501,10 +902,13 @@ mod tests {
                     .push(i);
             }
         }
-        let clash = mult_pairs.values().find(|v| v.len() >= 2);
-        if let Some(pair) = clash {
-            bad[pair[1]] = bad[pair[0]];
-            let err = simulate(
+        let pair = mult_pairs
+            .values()
+            .find(|v| v.len() >= 2)
+            .expect("RS#2 issues two multiplications in one row and cycle");
+        bad[pair[1]] = bad[pair[0]];
+        let err = on_both_engines(|sim| {
+            sim(
                 &ctx,
                 &arch,
                 &r.cycles,
@@ -514,9 +918,9 @@ mod tests {
                 &params,
                 &Default::default(),
             )
-            .unwrap_err();
-            assert!(matches!(err, SimError::SharedIssueConflict { .. }));
-        }
+        })
+        .unwrap_err();
+        assert!(matches!(err, SimError::SharedIssueConflict { .. }));
     }
 
     #[test]
@@ -525,19 +929,21 @@ mod tests {
         let (ctx, img, params) = setup(&k);
         let arch = presets::base_8x8();
         let bindings = vec![None; ctx.instances().len()];
-        let err = simulate(
-            &ctx,
-            &arch,
-            ctx.cycles(),
-            &bindings,
-            &k,
-            &img,
-            &params,
-            &SimOptions {
-                check_buses: true,
-                ..Default::default()
-            },
-        );
+        let err = on_both_engines(|sim| {
+            sim(
+                &ctx,
+                &arch,
+                ctx.cycles(),
+                &bindings,
+                &k,
+                &img,
+                &params,
+                &SimOptions {
+                    check_buses: true,
+                    ..Default::default()
+                },
+            )
+        });
         assert!(matches!(err, Err(SimError::BusOverflow { .. })));
     }
 
@@ -567,16 +973,18 @@ mod tests {
         insts[prod_idx]["pe"]["col"] = ((cons_pe.col + 1) % 8).into();
         moved = serde_json::from_value(v).unwrap();
         let bindings = vec![None; moved.instances().len()];
-        let err = simulate(
-            &moved,
-            &arch,
-            moved.cycles(),
-            &bindings,
-            &k,
-            &img,
-            &params,
-            &Default::default(),
-        )
+        let err = on_both_engines(|sim| {
+            sim(
+                &moved,
+                &arch,
+                moved.cycles(),
+                &bindings,
+                &k,
+                &img,
+                &params,
+                &Default::default(),
+            )
+        })
         .unwrap_err();
         assert!(matches!(
             err,
@@ -589,16 +997,18 @@ mod tests {
         let k = suite::mvm();
         let (ctx, img, params) = setup(&k);
         let arch = presets::base_8x8();
-        let err = simulate(
-            &ctx,
-            &arch,
-            &[0, 1, 2],
-            &[None, None, None],
-            &k,
-            &img,
-            &params,
-            &Default::default(),
-        )
+        let err = on_both_engines(|sim| {
+            sim(
+                &ctx,
+                &arch,
+                &[0, 1, 2],
+                &[None, None, None],
+                &k,
+                &img,
+                &params,
+                &Default::default(),
+            )
+        })
         .unwrap_err();
         assert!(matches!(err, SimError::ShapeMismatch { .. }));
     }
@@ -670,17 +1080,20 @@ mod tests {
         let r = rearrange(&ctx, &arch, &Default::default()).unwrap();
         let short: Vec<u32> = r.cycles.iter().map(|&c| c / 2).collect();
         let short_plan = split_schedule(&ctx, &short, |_| 1, 8).unwrap();
-        let err = simulate_split(
-            &ctx,
-            &arch,
-            &r.cycles, // longer than the plan covers
-            &r.bindings,
-            &short_plan,
-            &k,
-            &img,
-            &params,
-            &Default::default(),
-        )
+        let err = on_both_engines(|sim| {
+            split_with(
+                sim,
+                &ctx,
+                &arch,
+                &r.cycles, // longer than the plan covers
+                &r.bindings,
+                &short_plan,
+                &k,
+                &img,
+                &params,
+                &Default::default(),
+            )
+        })
         .unwrap_err();
         assert!(matches!(err, SimError::ShapeMismatch { .. }));
     }

@@ -158,3 +158,103 @@ fn matmul16_mapping_exceeds_4x4_and_6x6_capacity() {
     }
     assert!(map(&base(8, 8), &k, &MapOptions::default()).is_ok());
 }
+
+/// A `dim × dim` base array whose cache is deep enough that no mapping
+/// is rejected for depth.
+fn deep_base(dim: usize) -> rsp_arch::BaseArchitecture {
+    use rsp_arch::{ArrayGeometry, BaseArchitecture, BusSpec, PeDesign};
+    BaseArchitecture::new(
+        ArrayGeometry::new(dim, dim),
+        PeDesign::full(),
+        BusSpec::paper_default(),
+        1 << 16,
+    )
+}
+
+/// Asserts `cycle_floor ≤ total_cycles` for every context the mapper
+/// accepts for `kernel` at 4×4, 6×6 and 8×8 in both mapping styles, and
+/// that a cache one word short of the schedule fails with the exact
+/// length while a cache of exactly that depth fits; returns how many
+/// contexts were checked.
+fn floor_holds(kernel: &rsp_kernel::Kernel) -> usize {
+    use rsp_arch::BaseArchitecture;
+    use rsp_kernel::MappingStyle;
+    use rsp_mapper::{cycle_floor, map, MapError, MapOptions};
+    let mut checked = 0;
+    for dim in [4, 6, 8] {
+        let base = deep_base(dim);
+        for style in [MappingStyle::Lockstep, MappingStyle::Dataflow] {
+            let opts = MapOptions {
+                style: Some(style),
+                ..MapOptions::default()
+            };
+            let Ok(ctx) = map(&base, kernel, &opts) else {
+                continue;
+            };
+            let floor = cycle_floor(kernel, base.geometry());
+            assert!(
+                floor <= ctx.total_cycles() as usize,
+                "{} at {dim}x{dim} ({style:?}): floor {floor} > {} cycles",
+                kernel.name(),
+                ctx.total_cycles()
+            );
+            let sized = |depth: u32| {
+                let b = BaseArchitecture::new(
+                    base.geometry(),
+                    base.pe().clone(),
+                    base.buses(),
+                    depth as usize,
+                );
+                map(&b, kernel, &opts)
+            };
+            let total = ctx.total_cycles();
+            assert_eq!(sized(total), Ok(ctx), "{} at {dim}x{dim}", kernel.name());
+            assert_eq!(
+                sized(total - 1).unwrap_err(),
+                MapError::ConfigCacheExceeded {
+                    needed: total,
+                    available: total - 1
+                },
+                "{} at {dim}x{dim} ({style:?})",
+                kernel.name()
+            );
+            checked += 1;
+        }
+    }
+    checked
+}
+
+#[test]
+fn cycle_floor_never_exceeds_an_accepted_schedule() {
+    let kernels = rsp_kernel::suite::all().into_iter().chain(registry());
+    let mut checked = 0;
+    let mut kernel_count = 0;
+    for kernel in kernels {
+        checked += floor_holds(&kernel);
+        kernel_count += 1;
+    }
+    // Every kernel maps in its preferred style at every size.
+    assert!(checked >= 3 * kernel_count, "only {checked} contexts");
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn cycle_floor_never_exceeds_a_random_accepted_schedule(seed in proptest::prelude::any::<u64>()) {
+        let kernel = rsp_workload::random_kernel(seed, &rsp_workload::RandomKernelConfig::default());
+        floor_holds(&kernel);
+    }
+}
+
+#[test]
+fn cycle_floor_rejects_the_oversized_geometries_without_mapping() {
+    // The geometries whose schedules overflow a 256-deep cache are
+    // rejected by the floor alone, before any schedule is built.
+    use rsp_arch::ArrayGeometry;
+    use rsp_mapper::cycle_floor;
+    let floor = |k: &rsp_kernel::Kernel, dim| cycle_floor(k, ArrayGeometry::new(dim, dim));
+    let matmul16 = generators::matmul(16);
+    assert!(floor(&matmul16, 4) > 256 && floor(&matmul16, 6) > 256);
+    assert!(floor(&matmul16, 8) <= 256);
+}

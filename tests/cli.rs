@@ -1,7 +1,8 @@
 //! CLI contract for `rsp-cli anytime`: the deadline demo checkpoints and
 //! resumes to the complete deep-space result, and bad checkpoints or
 //! arguments fail with a one-line diagnostic and a non-zero exit, never
-//! a panic backtrace.
+//! a panic backtrace. `rsp-cli verify` simulates a suite kernel and
+//! checks its memory against the evaluator under the same contract.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -9,6 +10,14 @@ use std::process::{Command, Output};
 fn anytime(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rsp-cli"))
         .arg("anytime")
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+fn verify(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_rsp-cli"))
+        .arg("verify")
         .args(args)
         .output()
         .unwrap()
@@ -73,4 +82,24 @@ fn resume_rejects_bad_checkpoints_with_one_line_diagnostics() {
     assert_fails_cleanly(anytime(&["--deadline-ms", "soon"]), "millisecond count");
     assert_fails_cleanly(anytime(&["--resume"]), "--resume needs a value");
     assert_fails_cleanly(anytime(&["--samples", "2"]), "unknown anytime argument");
+}
+
+#[test]
+fn verify_simulates_a_suite_kernel_bit_identically() {
+    let out = verify(&["2D-FDCT", "RSP#2", "7"]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "OK: 2D-FDCT on RSP#2 (seed 7): 1056 ops, 44 cycles, memory bit-identical\n"
+    );
+}
+
+#[test]
+fn verify_rejects_an_unknown_kernel_with_one_line() {
+    let out = verify(&["no-such-kernel", "RSP#2", "7"]);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "unknown kernel or architecture\n"
+    );
+    assert_fails_cleanly(out, "unknown kernel or architecture");
 }
